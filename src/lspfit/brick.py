@@ -30,6 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .curve import _check_doys, _in_doy_range
 from .likelihood import LikelihoodKind, ObservationSeries
 from .prior import ParamVector, PriorSpec, _FlatPrior
 from .posterior import (
@@ -38,7 +39,8 @@ from .posterior import (
     sample_mean,
     sample_sd,
 )
-from .sampler import Chain, ChainConfig, TuningSpec, run_chain, subsample_indices
+from .sampler import (_MASK64, Chain, ChainConfig, TuningSpec, run_chain,
+                      subsample_indices)
 
 __all__ = [
     "Brick",
@@ -56,7 +58,6 @@ __all__ = [
 
 _MAGIC = b"LSPB"
 _VERSION = 1
-_MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 STATISTICS = ("mean", "sd", "median", "q025", "q975", "width95")
@@ -72,7 +73,7 @@ class Brick:
         Shape (rows, cols, layers); stored as float32 with NaN marking
         missing observations.
     doys : array-like
-        Day of year per layer, each in [1, 365].
+        Day of year per layer, each in [1, 366].
     georef : tuple or None
         Optional (x-origin, y-origin, cell-size) in map units.
     """
@@ -83,7 +84,7 @@ class Brick:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float32)
-        doys = np.asarray(self.doys, dtype=np.float64)
+        doys = _check_doys(self.doys)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "doys", doys)
         if values.ndim != 3 or min(values.shape) < 1:
@@ -96,9 +97,6 @@ class Brick:
                 f"doys length {doys.size} must equal layer count "
                 f"{values.shape[2]}"
             )
-        if not (np.isfinite(doys).all() and doys.min() >= 1.0
-                and doys.max() <= 365.0):
-            raise ValueError("doys must be finite and within [1, 365]")
         if self.georef is not None:
             g = tuple(float(v) for v in self.georef)
             if len(g) != 3 or not all(np.isfinite(g)):
@@ -238,7 +236,7 @@ def ingest_long_csv(path, *, value_col="evi", x_col="x", y_col="y",
     come from the regular grid inferred from the distinct x and y values
     (x ascending -> columns, y descending -> rows). Unparseable or ``NA``
     VI values become missing markers, never errors. A structurally broken
-    row (wrong field count, unparseable x/y/doy/year, doy outside [1, 365])
+    row (wrong field count, unparseable x/y/doy/year, doy outside [1, 366])
     is an error naming the line number.
 
     Parameters
@@ -308,10 +306,10 @@ def ingest_long_csv(path, *, value_col="evi", x_col="x", y_col="y",
                     "x/y/doy field"
                 ) from None
             if not (math.isfinite(x) and math.isfinite(y)
-                    and math.isfinite(doy) and 1.0 <= doy <= 365.0):
+                    and _in_doy_range(doy)):
                 raise ValueError(
                     f"malformed row at line {line}: doy must be in "
-                    f"[1, 365] and coordinates finite"
+                    f"[1, 366] and coordinates finite"
                 )
             year = None
             if has_year:

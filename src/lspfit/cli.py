@@ -25,12 +25,13 @@ from .brick import (Brick, fit_brick, grid_to_brick, ingest_long_csv,
                     write_grid_csv)
 from .curve import CurveParams, IndexBounds
 from .likelihood import LikelihoodKind, NoiseParam, ObservationSeries, simulate_series
-from .posterior import (FUNCTIONALS, QuadratureConfig, functional_samples,
-                        predictive_samples, fitted_samples, summarize,
-                        write_summary_csv)
+from .posterior import (FUNCTIONALS, QuadratureConfig, format_summary_csv,
+                        functional_samples, predictive_samples, fitted_samples,
+                        summarize, write_summary_csv)
 from .prior import ParamVector, default_priors, override_priors
-from .sampler import (CHAIN_CSV_HEADER, Chain, ChainConfig, GENERATOR_FAMILY,
-                      TuningSpec, read_chain_csv, run_chain, write_chain_csv)
+from .sampler import (ChainConfig, GENERATOR_FAMILY, TuningSpec,
+                      philox_generator, read_chain_csv, run_chain,
+                      write_chain_csv)
 
 FORMAT_VERSION = 1
 
@@ -48,11 +49,6 @@ DEFAULT_TUNING = {
 }
 
 OVERRIDABLE_PRIORS = ("alpha1", "alpha3", "alpha5", "alpha6", "alpha7")
-
-
-def _fail(msg: str) -> "SystemExit":
-    print(f"error: {msg}", file=sys.stderr)
-    return SystemExit(2)
 
 
 def _progress(msg: str) -> None:
@@ -303,19 +299,11 @@ def _likelihood_kind(opt: _Options) -> tuple[LikelihoodKind, IndexBounds]:
                     lambda s: _parse_pair(s, "--gamma"))
     bounds = IndexBounds(*gamma)
     name = opt.get("likelihood", "beta")
-    if name == "normal":
-        kind = LikelihoodKind.normal()
+    if name != "tnormal":
         opt.get("tn_bounds", None)
-    elif name == "beta":
-        kind = LikelihoodKind.beta()
-        opt.get("tn_bounds", None)
-    elif name == "tnormal":
-        tb = opt.get("tn_bounds", gamma,
-                     lambda s: _parse_pair(s, "--tn-bounds"))
-        kind = LikelihoodKind.truncated_normal(*tb)
-    else:
-        raise ValueError(f"unknown likelihood {name!r}")
-    return kind, bounds
+        return LikelihoodKind(name), bounds
+    tb = opt.get("tn_bounds", gamma, lambda s: _parse_pair(s, "--tn-bounds"))
+    return LikelihoodKind.truncated_normal(*tb), bounds
 
 
 def _prior_spec(opt: _Options, bounds: IndexBounds):
@@ -447,12 +435,8 @@ def cmd_simulate(opt: _Options) -> int:
         vals = np.full((rows, cols, doys.size), np.nan, dtype=np.float32)
         for r in range(rows):
             for c in range(cols):
-                if grid is None:
-                    rng = np.random.Generator(
-                        np.random.Philox(key=seed & ((1 << 64) - 1)))
-                else:
-                    rng = np.random.Generator(
-                        np.random.Philox(key=pixel_seed(seed, r, c, cols)))
+                rng = philox_generator(
+                    seed if grid is None else pixel_seed(seed, r, c, cols))
                 series = simulate_series(kind, params, sigma2, doys, rng,
                                          bounds)
                 vals[r, c, :] = series.values.astype(np.float32)
@@ -682,12 +666,7 @@ def cmd_summarize(opt: _Options) -> int:
             entries.append((fn, summarize(functional_samples(chain, fn, quad))))
     out = opt.get("out", None)
     if out is None:
-        sys.stdout.write("quantity,mean,sd,median,q025,q975\n")
-        for name, s in entries:
-            sys.stdout.write(
-                f"{name},{s.mean:.17g},{s.sd:.17g},{s.median:.17g},"
-                f"{s.q025:.17g},{s.q975:.17g}\n"
-            )
+        sys.stdout.write(format_summary_csv(entries))
     else:
         write_summary_csv(entries, f"{out}_summary.csv")
         seed = opt.get("seed", 0, int)
@@ -718,8 +697,7 @@ def cmd_derive(opt: _Options) -> int:
                 else:
                     if kind is None:
                         kind, _ = _likelihood_kind(opt)
-                    rng = np.random.Generator(
-                        np.random.Philox(key=seed & ((1 << 64) - 1)))
+                    rng = philox_generator(seed)
                     vec = predictive_samples(chain, kind, t0, rng)
                 name = f"{fn}@{t0:g}"
                 entries.append((name, summarize(vec)))

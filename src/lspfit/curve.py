@@ -115,6 +115,30 @@ def _autumn_raw(t, a1, a2, a5, a6, a7):
     return a1 + (a2 - a5 * t) * expit(a6 * (a7 - t))
 
 
+def _check_rates(p: CurveParams) -> None:
+    """Raise unless alpha3 + alpha6 > 0, so that the crossover day exists."""
+    s = p.alpha3 + p.alpha6
+    if not s > 0:
+        raise ValueError(
+            f"degenerate rates: alpha3 + alpha6 = {s} must be > 0 for the "
+            "crossover day to be defined"
+        )
+
+
+def _in_doy_range(d):
+    """True where ``d`` is a day of year in [1, 366]; a plain bool for a float
+    (cheap enough per CSV row), elementwise on arrays; False for NaN."""
+    return (d >= 1.0) & (d <= 366.0)
+
+
+def _check_doys(doys) -> np.ndarray:
+    """``doys`` as a float64 array; ValueError unless every day is in [1, 366]."""
+    doys = np.asarray(doys, dtype=np.float64)
+    if not _in_doy_range(doys).all():
+        raise ValueError("doys must be finite and within [1, 366]")
+    return doys
+
+
 def _crossover_raw(a3, a4, a6, a7):
     return (a3 * a4 + a6 * a7) / (a3 + a6)
 
@@ -182,12 +206,7 @@ def crossover(p: CurveParams) -> float:
         If ``alpha3 + alpha6`` is not strictly positive (degenerate rates:
         the crossover day is undefined).
     """
-    s = p.alpha3 + p.alpha6
-    if not s > 0:
-        raise ValueError(
-            f"degenerate rates: alpha3 + alpha6 = {s} must be > 0 for the "
-            "crossover day to be defined"
-        )
+    _check_rates(p)
     return _crossover_raw(p.alpha3, p.alpha4, p.alpha6, p.alpha7)
 
 
@@ -211,14 +230,9 @@ def curve_value(t, p: CurveParams):
     Raises
     ------
     ValueError
-        Propagated from :func:`crossover` when ``alpha3 + alpha6 <= 0``.
+        When ``alpha3 + alpha6 <= 0``, as for :func:`crossover`.
     """
-    s = p.alpha3 + p.alpha6
-    if not s > 0:
-        raise ValueError(
-            f"degenerate rates: alpha3 + alpha6 = {s} must be > 0 for the "
-            "crossover day to be defined"
-        )
+    _check_rates(p)
     out = _curve_raw(np.asarray(t, dtype=np.float64),
                      p.alpha1, p.alpha2, p.alpha3, p.alpha4,
                      p.alpha5, p.alpha6, p.alpha7)

@@ -10,6 +10,14 @@ Three candidate likelihoods share a single variance-style parameter
   precision ``phi = 1/sigma2``, i.e. shapes ``p = mu*phi`` and
   ``q = (1 - mu)*phi``.
 
+Each model is one kernel (``_Normal``, ``_TNormal``, ``_Beta``) holding its
+formulas side by side: ``log_density``, the scalar log-density on plain
+floats; ``bind``, the summed series log-likelihood as a closure
+``f(alphas, s2)`` with per-series constants hoisted out (the sampler's hot
+path); and ``draw``, predictive draws at scalar or array means, one
+generator draw per mean in order. ``_KERNELS`` maps a kind to its kernel;
+it is the only place where a formula is chosen by kind.
+
 Log-densities return ``-inf`` (never raise) whenever the density is zero or
 undefined because the mean left the admissible set; a Metropolis step can then
 simply reject such proposals. Errors are reserved for structurally invalid
@@ -24,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln, log_ndtr, ndtr, ndtri
 
-from .curve import CurveParams, IndexBounds, _curve_raw
+from .curve import CurveParams, IndexBounds, _check_doys, _check_rates, _curve_raw
 
 __all__ = [
     "NoiseParam",
@@ -50,8 +58,7 @@ class NoiseParam:
     sigma2: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.sigma2) and self.sigma2 > 0):
-            raise ValueError(f"sigma2 must be finite and > 0, got {self.sigma2}")
+        _as_sigma2(self.sigma2)
 
     def __float__(self) -> float:
         return self.sigma2
@@ -70,7 +77,7 @@ class LikelihoodKind:
     b: float = float("nan")
 
     def __post_init__(self):
-        if self.kind not in ("normal", "tnormal", "beta"):
+        if self.kind not in _KERNELS:
             raise ValueError(f"unknown likelihood kind {self.kind!r}")
         if self.kind == "tnormal":
             if not (np.isfinite(self.a) and np.isfinite(self.b) and self.a < self.b):
@@ -98,7 +105,7 @@ class ObservationSeries:
     Parameters
     ----------
     doys : array-like of float
-        Days of year, real-valued, each in [1, 365].
+        Days of year, real-valued, each in [1, 366].
     values : array-like of float
         VI observations, finite, same length as ``doys``.
     bounds : IndexBounds
@@ -110,15 +117,12 @@ class ObservationSeries:
     bounds: IndexBounds = field(default_factory=lambda: IndexBounds(0.0, 1.0))
 
     def __post_init__(self):
-        doys = np.asarray(self.doys, dtype=np.float64)
+        doys = _check_doys(self.doys)
         values = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "doys", doys)
         object.__setattr__(self, "values", values)
         if doys.ndim != 1 or values.ndim != 1 or doys.size != values.size:
             raise ValueError("doys and values must be 1-d arrays of equal length")
-        if doys.size and not (np.isfinite(doys).all()
-                              and doys.min() >= 1.0 and doys.max() <= 365.0):
-            raise ValueError("doys must be finite and within [1, 365]")
         if values.size and not np.isfinite(values).all():
             raise ValueError("values must be finite")
 
@@ -126,11 +130,17 @@ class ObservationSeries:
         return self.doys.size
 
 
-def _as_sigma2(sigma2) -> float:
-    s2 = float(sigma2)
-    if not (np.isfinite(s2) and s2 > 0):
-        raise ValueError(f"sigma2 must be finite and > 0, got {s2}")
-    return s2
+def _as_sigma2(sigma2):
+    """``sigma2`` as a float, or as is when an array; ValueError unless every
+    value is finite and > 0."""
+    if isinstance(sigma2, np.ndarray):
+        ok = (np.isfinite(sigma2) & (sigma2 > 0)).all()
+    else:
+        sigma2 = float(sigma2)
+        ok = math.isfinite(sigma2) and sigma2 > 0
+    if not ok:
+        raise ValueError(f"sigma2 must be finite and > 0, got {sigma2}")
+    return sigma2
 
 
 def _tn_log_mass(mu, sd, a, b):
@@ -150,6 +160,107 @@ def _tn_log_mass(mu, sd, a, b):
     lb = log_ndtr(lo)
     with np.errstate(divide="ignore"):
         return la + np.log1p(-np.exp(lb - la))
+
+
+def _gauss_sum(r, n, s2):
+    """Summed Normal(0, s2) log-density of the n residuals ``r``."""
+    return -0.5 * n * (_LOG_2PI + math.log(s2)) - float(r @ r) / (2.0 * s2)
+
+
+class _Normal:
+    """Normal(mu, sigma2)."""
+
+    def log_density(self, kind, y, mu, s2):
+        return -0.5 * (_LOG_2PI + math.log(s2)) - (y - mu) ** 2 / (2.0 * s2)
+
+    def bind(self, kind, t, y):
+        n = y.size
+
+        def loglik(al, s2):
+            mu = _curve_raw(t, al[0], al[1], al[2], al[3], al[4], al[5], al[6])
+            return _gauss_sum(y - mu, n, s2)
+        return loglik
+
+    def draw(self, kind, mu, s2, rng):
+        return mu + np.sqrt(s2) * rng.standard_normal(np.shape(mu))
+
+
+class _TNormal(_Normal):
+    """Normal(mu, sigma2) truncated to [kind.a, kind.b]."""
+
+    def log_density(self, kind, y, mu, s2):
+        if y < kind.a or y > kind.b:
+            return -math.inf
+        return (super().log_density(kind, y, mu, s2)
+                - float(_tn_log_mass(np.float64(mu), math.sqrt(s2),
+                                     kind.a, kind.b)))
+
+    def bind(self, kind, t, y):
+        a, b = kind.a, kind.b
+        if (y < a).any() or (y > b).any():
+            return lambda al, s2: -math.inf  # data the model cannot produce
+        n = y.size
+
+        def loglik(al, s2):
+            mu = _curve_raw(t, al[0], al[1], al[2], al[3], al[4], al[5], al[6])
+            return (_gauss_sum(y - mu, n, s2)
+                    - float(_tn_log_mass(mu, math.sqrt(s2), a, b).sum()))
+        return loglik
+
+    def draw(self, kind, mu, s2, rng):
+        # inverse-CDF transform of a uniform on the truncated quantile range
+        # (never rejection sampling); the clip absorbs last-ulp rounding
+        sd = np.sqrt(s2)
+        fa = ndtr((kind.a - mu) / sd)
+        fb = ndtr((kind.b - mu) / sd)
+        u = rng.random(np.shape(mu))
+        return np.clip(mu + sd * ndtri(fa + u * (fb - fa)), kind.a, kind.b)
+
+
+class _Beta:
+    """Beta(mu*phi, (1 - mu)*phi) with phi = 1/sigma2."""
+
+    def log_density(self, kind, y, mu, s2):
+        if not (0.0 < mu < 1.0) or not (0.0 < y < 1.0):
+            return -math.inf
+        phi = 1.0 / s2
+        p = mu * phi
+        q = (1.0 - mu) * phi
+        return float(
+            gammaln(phi) - gammaln(p) - gammaln(q)
+            + (p - 1.0) * math.log(y) + (q - 1.0) * math.log1p(-y)
+        )
+
+    def bind(self, kind, t, y):
+        if (y <= 0.0).any() or (y >= 1.0).any():
+            return lambda al, s2: -math.inf
+        n = y.size
+        log_y = np.log(y)
+        log_1my = np.log1p(-y)
+
+        def loglik(al, s2):
+            mu = _curve_raw(t, al[0], al[1], al[2], al[3], al[4], al[5], al[6])
+            if mu.min() <= 0.0 or mu.max() >= 1.0:
+                return -math.inf
+            phi = 1.0 / s2
+            p = mu * phi
+            q = phi - p
+            return float(
+                n * gammaln(phi) - gammaln(p).sum() - gammaln(q).sum()
+                + (p - 1.0) @ log_y + (q - 1.0) @ log_1my
+            )
+        return loglik
+
+    def draw(self, kind, mu, s2, rng):
+        bad = np.extract(~np.logical_and(mu > 0.0, mu < 1.0), mu)
+        if bad.size:
+            raise ValueError(f"beta predictive draw needs mean in (0, 1), "
+                             f"got {bad[0]}")
+        phi = 1.0 / s2
+        return rng.beta(mu * phi, (1.0 - mu) * phi)
+
+
+_KERNELS = {"normal": _Normal(), "tnormal": _TNormal(), "beta": _Beta()}
 
 
 def log_density(kind: LikelihoodKind, y: float, mu: float, sigma2) -> float:
@@ -178,25 +289,7 @@ def log_density(kind: LikelihoodKind, y: float, mu: float, sigma2) -> float:
         Only for structurally invalid parameters (``sigma2 <= 0``; truncation
         bounds are validated at LikelihoodKind construction).
     """
-    s2 = _as_sigma2(sigma2)
-    if kind.kind == "normal":
-        return -0.5 * (_LOG_2PI + math.log(s2)) - (y - mu) ** 2 / (2.0 * s2)
-    if kind.kind == "tnormal":
-        if y < kind.a or y > kind.b:
-            return -math.inf
-        sd = math.sqrt(s2)
-        base = -0.5 * (_LOG_2PI + math.log(s2)) - (y - mu) ** 2 / (2.0 * s2)
-        return base - float(_tn_log_mass(np.float64(mu), sd, kind.a, kind.b))
-    # beta
-    if not (0.0 < mu < 1.0) or not (0.0 < y < 1.0):
-        return -math.inf
-    phi = 1.0 / s2
-    p = mu * phi
-    q = (1.0 - mu) * phi
-    return float(
-        gammaln(phi) - gammaln(p) - gammaln(q)
-        + (p - 1.0) * math.log(y) + (q - 1.0) * math.log1p(-y)
-    )
+    return _KERNELS[kind.kind].log_density(kind, y, mu, _as_sigma2(sigma2))
 
 
 def series_loglik_fn(kind: LikelihoodKind, series: ObservationSeries):
@@ -207,54 +300,9 @@ def series_loglik_fn(kind: LikelihoodKind, series: ObservationSeries):
     precomputed per-series constants; it is the single code path used by both
     :func:`series_log_likelihood` and the sampler, so the two cannot diverge.
     """
-    t = series.doys
-    y = series.values
-    n = y.size
-    if n == 0:
+    if len(series) == 0:
         raise ValueError("series must be non-empty")
-
-    if kind.kind == "normal":
-        def loglik(al, s2):
-            mu = _curve_raw(t, al[0], al[1], al[2], al[3], al[4], al[5], al[6])
-            r = y - mu
-            return -0.5 * n * (_LOG_2PI + math.log(s2)) - float(r @ r) / (2.0 * s2)
-        return loglik
-
-    if kind.kind == "tnormal":
-        a, b = kind.a, kind.b
-        if (y < a).any() or (y > b).any():
-            def loglik(al, s2):
-                return -math.inf
-            return loglik
-
-        def loglik(al, s2):
-            mu = _curve_raw(t, al[0], al[1], al[2], al[3], al[4], al[5], al[6])
-            sd = math.sqrt(s2)
-            r = y - mu
-            base = -0.5 * n * (_LOG_2PI + math.log(s2)) - float(r @ r) / (2.0 * s2)
-            return base - float(_tn_log_mass(mu, sd, a, b).sum())
-        return loglik
-
-    # beta
-    if (y <= 0.0).any() or (y >= 1.0).any():
-        def loglik(al, s2):
-            return -math.inf
-        return loglik
-    log_y = np.log(y)
-    log_1my = np.log1p(-y)
-
-    def loglik(al, s2):
-        mu = _curve_raw(t, al[0], al[1], al[2], al[3], al[4], al[5], al[6])
-        if mu.min() <= 0.0 or mu.max() >= 1.0:
-            return -math.inf
-        phi = 1.0 / s2
-        p = mu * phi
-        q = phi - p
-        return float(
-            n * gammaln(phi) - gammaln(p).sum() - gammaln(q).sum()
-            + (p - 1.0) @ log_y + (q - 1.0) @ log_1my
-        )
-    return loglik
+    return _KERNELS[kind.kind].bind(kind, series.doys, series.values)
 
 
 def series_log_likelihood(kind: LikelihoodKind, series: ObservationSeries,
@@ -268,14 +316,19 @@ def series_log_likelihood(kind: LikelihoodKind, series: ObservationSeries,
     Raises
     ------
     ValueError
-        If the series is empty or ``sigma2 <= 0``.
+        If the series is empty, ``sigma2 <= 0`` or the rates are degenerate
+        (``alpha3 + alpha6 <= 0``).
     """
     s2 = _as_sigma2(sigma2)
-    if not p.alpha3 + p.alpha6 > 0:
-        raise ValueError(
-            "degenerate rates: alpha3 + alpha6 must be > 0 to evaluate the curve"
-        )
+    _check_rates(p)
     return series_loglik_fn(kind, series)(p.to_array(), s2)
+
+
+def _predictive_draws(kind: LikelihoodKind, mu, sigma2,
+                      rng: np.random.Generator):
+    """Predictive draws at scalar or array means ``mu``, with a scalar or a
+    per-mean ``sigma2``: one generator draw per mean, in element order."""
+    return _KERNELS[kind.kind].draw(kind, mu, _as_sigma2(sigma2), rng)
 
 
 def predictive_draw(kind: LikelihoodKind, mu: float, sigma2,
@@ -294,22 +347,7 @@ def predictive_draw(kind: LikelihoodKind, mu: float, sigma2,
         (0, 1): sampling is an explicit request, so an inadmissible mean is
         an error here rather than a rejection.
     """
-    s2 = _as_sigma2(sigma2)
-    if kind.kind == "normal":
-        return mu + math.sqrt(s2) * rng.standard_normal()
-    if kind.kind == "tnormal":
-        sd = math.sqrt(s2)
-        fa = ndtr((kind.a - mu) / sd)
-        fb = ndtr((kind.b - mu) / sd)
-        u = rng.random()
-        x = mu + sd * float(ndtri(fa + u * (fb - fa)))
-        return min(max(x, kind.a), kind.b)
-    if not (0.0 < mu < 1.0):
-        raise ValueError(
-            f"beta predictive draw needs mean in (0, 1), got {mu}"
-        )
-    phi = 1.0 / s2
-    return float(rng.beta(mu * phi, (1.0 - mu) * phi))
+    return float(_predictive_draws(kind, mu, sigma2, rng))
 
 
 def simulate_series(kind: LikelihoodKind, p: CurveParams, sigma2, doys,
@@ -329,24 +367,15 @@ def simulate_series(kind: LikelihoodKind, p: CurveParams, sigma2, doys,
     Raises
     ------
     ValueError
-        If ``doys`` is empty or outside [1, 365]; propagates
-        :func:`predictive_draw` errors (e.g. a Beta mean outside (0, 1)).
+        If ``doys`` is empty or outside [1, 366], ``sigma2 <= 0``, the rates
+        are degenerate, or (Beta) a curve value is outside (0, 1); nothing
+        is drawn from ``rng`` then.
     """
-    doys = np.asarray(doys, dtype=np.float64)
+    doys = _check_doys(doys)
     if doys.size == 0:
         raise ValueError("doys must be non-empty")
-    if not (np.isfinite(doys).all() and doys.min() >= 1.0 and doys.max() <= 365.0):
-        raise ValueError("doys must be finite and within [1, 365]")
-    s2 = _as_sigma2(sigma2)
-    if not p.alpha3 + p.alpha6 > 0:
-        raise ValueError(
-            "degenerate rates: alpha3 + alpha6 must be > 0 to evaluate the curve"
-        )
+    _check_rates(p)
     mus = _curve_raw(doys, p.alpha1, p.alpha2, p.alpha3, p.alpha4,
                      p.alpha5, p.alpha6, p.alpha7)
-    values = np.array(
-        [predictive_draw(kind, float(m), s2, rng) for m in mus],
-        dtype=np.float64,
-    )
-    return ObservationSeries(doys, values,
+    return ObservationSeries(doys, _predictive_draws(kind, mus, sigma2, rng),
                              bounds if bounds is not None else IndexBounds(0.0, 1.0))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import _crossover_raw, _curve_raw
-from .likelihood import LikelihoodKind, predictive_draw
+from .likelihood import LikelihoodKind, _predictive_draws
 from .sampler import Chain
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "auc_samples",
     "functional_samples",
     "FUNCTIONALS",
+    "format_summary_csv",
     "write_summary_csv",
     "SUMMARY_CSV_HEADER",
 ]
@@ -148,18 +149,13 @@ def predictive_samples(chain: Chain, kind: LikelihoodKind, t0: float,
     """Posterior-predictive draws of a new observation at day ``t0``.
 
     For each retained draw, one likelihood draw with mean equal to that
-    draw's curve value at ``t0`` and that draw's sigma2. Deterministic given
-    the rng state; propagates predictive-draw errors (e.g. a Beta mean
-    outside (0, 1)).
+    draw's curve value at ``t0`` and that draw's sigma2, taken in draw
+    order. Deterministic given the rng state; propagates predictive-draw
+    errors (e.g. a Beta mean outside (0, 1)).
     """
     _require_nonempty(chain)
-    mus = fitted_samples(chain, t0)
-    s2s = chain.samples[:, 7]
-    return np.array(
-        [predictive_draw(kind, float(m), float(s2), rng)
-         for m, s2 in zip(mus, s2s)],
-        dtype=np.float64,
-    )
+    return _predictive_draws(kind, fitted_samples(chain, t0),
+                             chain.samples[:, 7], rng)
 
 
 def season_length_samples(chain: Chain) -> np.ndarray:
@@ -252,16 +248,17 @@ def functional_samples(chain: Chain, functional: str,
     )
 
 
-def write_summary_csv(entries, path) -> None:
-    """Write (name, PosteriorSummary) pairs as a summary CSV.
+def format_summary_csv(entries) -> str:
+    """Summary CSV text: the header, then one row per (name,
+    PosteriorSummary) pair with 17 significant digits per value."""
+    lines = [SUMMARY_CSV_HEADER]
+    lines += [f"{name},{s.mean:.17g},{s.sd:.17g},{s.median:.17g},"
+              f"{s.q025:.17g},{s.q975:.17g}" for name, s in entries]
+    return "\n".join(lines) + "\n"
 
-    Columns are ``quantity,mean,sd,median,q025,q975``; values use 17
-    significant digits.
-    """
+
+def write_summary_csv(entries, path) -> None:
+    """Write (name, PosteriorSummary) pairs as the summary CSV of
+    :func:`format_summary_csv` (columns ``quantity,mean,sd,median,q025,q975``)."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(SUMMARY_CSV_HEADER + "\n")
-        for name, s in entries:
-            fh.write(
-                f"{name},{s.mean:.17g},{s.sd:.17g},{s.median:.17g},"
-                f"{s.q025:.17g},{s.q975:.17g}\n"
-            )
+        fh.write(format_summary_csv(entries))

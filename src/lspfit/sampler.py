@@ -20,7 +20,7 @@ therefore produce bit-identical chains on any platform with IEEE-754 doubles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +33,7 @@ __all__ = [
     "Chain",
     "GENERATOR_FAMILY",
     "CHAIN_CSV_HEADER",
+    "philox_generator",
     "log_posterior",
     "run_chain",
     "subsample_indices",
@@ -44,6 +45,12 @@ GENERATOR_FAMILY = "philox4x64"
 CHAIN_CSV_HEADER = "alpha1,alpha2,alpha3,alpha4,alpha5,alpha6,alpha7,sigma2"
 
 _MASK64 = (1 << 64) - 1
+
+
+def philox_generator(seed: int) -> np.random.Generator:
+    """The contract's generator: Philox keyed directly with the low 64 bits
+    of ``seed``."""
+    return np.random.Generator(np.random.Philox(key=seed & _MASK64))
 
 
 @dataclass(frozen=True)
@@ -226,7 +233,7 @@ def run_chain(kind: LikelihoodKind, series: ObservationSeries, spec: PriorSpec,
     loglik = series_loglik_fn(kind, series)
 
     n = config.n_samples
-    rng = np.random.Generator(np.random.Philox(key=config.seed & _MASK64))
+    rng = philox_generator(config.seed)
     steps = rng.standard_normal((n, 8))
     steps *= tuning.to_array()
     log_u = np.log(rng.random(n))

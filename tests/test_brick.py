@@ -91,7 +91,7 @@ class TestBrickType:
         with pytest.raises(ValueError):
             Brick(np.zeros((2, 2, 2)), np.array([100.0]))  # doys length
         with pytest.raises(ValueError):
-            Brick(np.zeros((2, 2, 1)), np.array([366.0]))  # doy range
+            Brick(np.zeros((2, 2, 1)), np.array([367.0]))  # doy range
 
     def test_float32_storage(self):
         b = Brick(np.full((1, 1, 1), 0.1, dtype=np.float64), np.array([50.0]))
@@ -211,6 +211,27 @@ class TestIngest:
         path = write_csv(tmp_path, [
             "p,10,40,S2A,2019,50,0.5",
             "p,not-a-number,40,S2A,2019,150,0.7",
+        ])
+        with pytest.raises(ValueError, match="line 3"):
+            ingest_long_csv(path)
+
+    def test_leap_day_is_accepted(self, tmp_path):
+        path = write_csv(tmp_path, [
+            "p,10,40,S2A,2020,365,0.4",
+            "p,10,40,S2A,2020,366,0.45",
+            "p,20,40,S2A,2020,366,0.5",
+        ])
+        b = ingest_long_csv(path)
+        assert list(b.doys) == [365.0, 366.0]
+        assert b.values[0, 0, 1] == np.float32(0.45)
+        assert b.values[0, 1, 1] == np.float32(0.5)
+        annual = ingest_long_csv(path, mode="annual")
+        assert list(annual[2020].doys) == [365.0, 366.0]
+
+    def test_day_past_366_reports_line_number(self, tmp_path):
+        path = write_csv(tmp_path, [
+            "p,10,40,S2A,2020,366,0.5",
+            "p,10,40,S2A,2020,367,0.5",
         ])
         with pytest.raises(ValueError, match="line 3"):
             ingest_long_csv(path)

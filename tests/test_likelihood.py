@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri
 
 from helpers import (
     SIM_CURVE,
+    chain_from_rows,
     draw_support_rows,
     gl_integral,
     py_beta_logpdf,
@@ -21,8 +23,11 @@ from lspfit import (
     LikelihoodKind,
     NoiseParam,
     ObservationSeries,
+    curve_value,
+    fitted_samples,
     log_density,
     predictive_draw,
+    predictive_samples,
     series_log_likelihood,
     simulate_series,
 )
@@ -202,7 +207,7 @@ class TestSeriesLogLikelihood:
         with pytest.raises(ValueError):
             ObservationSeries(np.array([0.5]), np.array([0.5]))  # doy < 1
         with pytest.raises(ValueError):
-            ObservationSeries(np.array([366.0]), np.array([0.5]))
+            ObservationSeries(np.array([367.0]), np.array([0.5]))
         with pytest.raises(ValueError):
             ObservationSeries(np.array([100.0]), np.array([np.nan]))
         with pytest.raises(ValueError):
@@ -287,3 +292,67 @@ class TestSimulateSeries:
         b = IndexBounds(-0.5, 1.5)
         s = simulate_series(NORMAL, SIM_CURVE, 0.003, self.DOYS, rng, bounds=b)
         assert s.bounds == b
+
+
+def reference_draw(kind, mu, s2, rng):
+    """One predictive draw taken straight from numpy, as a plain loop would."""
+    if kind.kind == "normal":
+        return mu + math.sqrt(s2) * rng.standard_normal()
+    if kind.kind == "tnormal":
+        sd = math.sqrt(s2)
+        fa = ndtr((kind.a - mu) / sd)
+        fb = ndtr((kind.b - mu) / sd)
+        x = mu + sd * float(ndtri(fa + rng.random() * (fb - fa)))
+        return min(max(x, kind.a), kind.b)
+    phi = 1.0 / s2
+    return rng.beta(mu * phi, (1.0 - mu) * phi)
+
+
+class TestDrawOrder:
+    """Array draws consume the generator exactly as one draw per value, in
+    order: the outputs and the generator state afterwards match a loop."""
+
+    KINDS = [NORMAL, BETA, LikelihoodKind.truncated_normal(0.1, 0.7)]
+    IDS = ["normal", "beta", "tnormal"]
+
+    @staticmethod
+    def loop(kind, mus, s2s, seed):
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        out = [reference_draw(kind, float(m), float(s2), rng)
+               for m, s2 in zip(mus, np.broadcast_to(s2s, np.shape(mus)))]
+        return np.array(out), rng.random()
+
+    @pytest.mark.parametrize("kind", KINDS, ids=IDS)
+    def test_simulate_series(self, kind):
+        doys = np.arange(3.0, 366.0, 7.0)
+        for seed, s2 in ((1, 1e-4), (2, 3e-3), (3, 0.05)):
+            rng = np.random.Generator(np.random.Philox(key=seed))
+            got = simulate_series(kind, SIM_CURVE, s2, doys, rng).values
+            want, after = self.loop(kind, curve_value(doys, SIM_CURVE), s2,
+                                    seed)
+            assert got.tobytes() == want.tobytes()
+            assert rng.random() == after
+
+    @pytest.mark.parametrize("kind", KINDS, ids=IDS)
+    def test_predictive_samples(self, kind):
+        rows = draw_support_rows(np.random.default_rng(21), 300)
+        rows[:, 4] = 0.0  # curve values stay inside (0, 1) for the Beta
+        chain = chain_from_rows(rows)
+        for seed, t0 in ((4, 60.0), (5, 200.0)):
+            rng = np.random.Generator(np.random.Philox(key=seed))
+            got = predictive_samples(chain, kind, t0, rng)
+            want, after = self.loop(kind, fitted_samples(chain, t0),
+                                    rows[:, 7], seed)
+            assert got.tobytes() == want.tobytes()
+            assert rng.random() == after
+
+    @pytest.mark.parametrize("kind", KINDS, ids=IDS)
+    def test_predictive_draw(self, kind):
+        mus = np.linspace(0.02, 0.98, 97)
+        s2s = np.geomspace(1e-4, 0.2, 97)
+        rng = np.random.Generator(np.random.Philox(key=6))
+        got = np.array([predictive_draw(kind, float(m), float(s2), rng)
+                        for m, s2 in zip(mus, s2s)])
+        want, after = self.loop(kind, mus, s2s, 6)
+        assert got.tobytes() == want.tobytes()
+        assert rng.random() == after
