@@ -14,6 +14,7 @@ failures.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -31,7 +32,7 @@ from .posterior import (FUNCTIONALS, QuadratureConfig, format_summary_csv,
 from .prior import ParamVector, default_priors, override_priors
 from .sampler import (ChainConfig, GENERATOR_FAMILY, TuningSpec,
                       philox_generator, read_chain_csv, run_chain,
-                      write_chain_csv)
+                      subsample_indices, write_chain_csv)
 
 FORMAT_VERSION = 1
 
@@ -201,8 +202,6 @@ def _add_quad(p: argparse.ArgumentParser) -> None:
                    help="AUC integration lower day (default 1)")
     p.add_argument("--quad-hi", dest="quad_hi", type=float,
                    help="AUC integration upper day (default 365)")
-    p.add_argument("--panels", type=int,
-                   help="AUC Simpson panel count, even >= 4 (default 2912)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -358,7 +357,6 @@ def _quad_config(opt: _Options) -> QuadratureConfig:
     return QuadratureConfig(
         t_lo=opt.get("quad_lo", 1.0, float),
         t_hi=opt.get("quad_hi", 365.0, float),
-        panels=opt.get("panels", 2912, int),
     )
 
 
@@ -587,7 +585,10 @@ def cmd_fit_brick(opt: _Options) -> int:
     value_col = opt.get("value_col", "evi")
     functionals = str(opt.get("functionals",
                               ",".join(PARAM_KEYS))).split(",")
-    statistics = str(opt.get("statistics", "median,sd")).split(",")
+    statistics = [st.strip() for st in
+                  str(opt.get("statistics", "median,sd")).split(",")]
+    if "sd" in statistics and subsample_indices(config).size < 2:
+        raise ValueError("statistic sd needs at least 2 retained draws")
     lspb_grids = opt.get("lspb_grids", False, _parse_bool)
     save_samples = opt.get("save_samples", False, _parse_bool)
 
@@ -623,7 +624,6 @@ def cmd_fit_brick(opt: _Options) -> int:
         for fn in functionals:
             fn = fn.strip()
             for st in statistics:
-                st = st.strip()
                 grid = summarize_brick(result, fn, st, quad)
                 gpath = f"{prefix}_{fn}_{st}.csv"
                 write_grid_csv(grid, gpath, result.georef)
@@ -636,8 +636,8 @@ def cmd_fit_brick(opt: _Options) -> int:
                        f"{prefix}_acceptance_last_batch.csv", result.georef)
         with open(f"{prefix}_skipped.csv", "w", encoding="utf-8") as fh:
             fh.write("row,col,reason\n")
-            for r, c, reason in result.skipped:
-                fh.write(f"{r},{c},\"{reason}\"\n")
+            csv.writer(fh, lineterminator="\n",
+                       quoting=csv.QUOTE_NONNUMERIC).writerows(result.skipped)
         if save_samples:
             np.savez_compressed(
                 f"{prefix}_samples.npz",

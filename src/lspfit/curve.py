@@ -14,8 +14,8 @@ Both branches share a baseline ``alpha1``, an amplitude ``alpha2``, and a
 linear midsummer trend ``alpha5`` through the common numerator
 ``alpha2 - alpha5*t``.
 
-All evaluators accept scalar or array ``t`` (days are real-valued, so
-quadrature nodes between integer days are valid) and are pure and stateless.
+All evaluators accept scalar or array ``t`` (days are real-valued, so any
+point between integer days is valid) and are pure and stateless.
 """
 
 from __future__ import annotations
@@ -115,13 +115,14 @@ def _autumn_raw(t, a1, a2, a5, a6, a7):
     return a1 + (a2 - a5 * t) * expit(a6 * (a7 - t))
 
 
-def _check_rates(p: CurveParams) -> None:
-    """Raise unless alpha3 + alpha6 > 0, so that the crossover day exists."""
-    s = p.alpha3 + p.alpha6
-    if not s > 0:
+def _check_rates(a3, a6) -> None:
+    """Raise unless each alpha3 + alpha6 > 0: the crossover day must exist."""
+    s = np.asarray(a3 + a6)
+    bad = s[~(s > 0)]
+    if bad.size:
         raise ValueError(
-            f"degenerate rates: alpha3 + alpha6 = {s} must be > 0 for the "
-            "crossover day to be defined"
+            f"degenerate rates: alpha3 + alpha6 = {bad[0]} must be > 0 for "
+            "the crossover day to be defined"
         )
 
 
@@ -206,7 +207,7 @@ def crossover(p: CurveParams) -> float:
         If ``alpha3 + alpha6`` is not strictly positive (degenerate rates:
         the crossover day is undefined).
     """
-    _check_rates(p)
+    _check_rates(p.alpha3, p.alpha6)
     return _crossover_raw(p.alpha3, p.alpha4, p.alpha6, p.alpha7)
 
 
@@ -232,7 +233,7 @@ def curve_value(t, p: CurveParams):
     ValueError
         When ``alpha3 + alpha6 <= 0``, as for :func:`crossover`.
     """
-    _check_rates(p)
+    _check_rates(p.alpha3, p.alpha6)
     out = _curve_raw(np.asarray(t, dtype=np.float64),
                      p.alpha1, p.alpha2, p.alpha3, p.alpha4,
                      p.alpha5, p.alpha6, p.alpha7)

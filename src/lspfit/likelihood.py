@@ -320,7 +320,7 @@ def series_log_likelihood(kind: LikelihoodKind, series: ObservationSeries,
         (``alpha3 + alpha6 <= 0``).
     """
     s2 = _as_sigma2(sigma2)
-    _check_rates(p)
+    _check_rates(p.alpha3, p.alpha6)
     return series_loglik_fn(kind, series)(p.to_array(), s2)
 
 
@@ -374,7 +374,7 @@ def simulate_series(kind: LikelihoodKind, p: CurveParams, sigma2, doys,
     doys = _check_doys(doys)
     if doys.size == 0:
         raise ValueError("doys must be non-empty")
-    _check_rates(p)
+    _check_rates(p.alpha3, p.alpha6)
     mus = _curve_raw(doys, p.alpha1, p.alpha2, p.alpha3, p.alpha4,
                      p.alpha5, p.alpha6, p.alpha7)
     return ObservationSeries(doys, _predictive_draws(kind, mus, sigma2, rng),

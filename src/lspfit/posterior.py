@@ -9,9 +9,8 @@ empirical distribution of the transformed draws:
 * season length (alpha7 - alpha4),
 * curve maximum (alpha1 + alpha2),
 * spring/autumn crossover day delta,
-* area under the curve over [t_lo, t_hi] by composite Simpson quadrature,
-  split at delta so each Simpson rule sees a smooth branch (the combined
-  curve has a slope kink at delta).
+* area under the curve over [t_lo, t_hi], in closed form on each logistic
+  branch (split at delta, where the combined curve has a slope kink).
 """
 
 from __future__ import annotations
@@ -20,8 +19,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
+from scipy.special import spence
 
-from .curve import _crossover_raw, _curve_raw
+from .curve import _check_rates, _crossover_raw, _curve_raw
 from .likelihood import LikelihoodKind, _predictive_draws
 from .sampler import Chain
 
@@ -62,29 +63,16 @@ class PosteriorSummary:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Integration range and panel count for the AUC quadrature.
-
-    ``panels`` must be even and at least 4: the rule is split at the curve's
-    crossover day with a minimum of 2 panels (one Simpson pair) per side.
-    The default 2912 panels is about eight per day over [1, 365], enough to
-    resolve the sharpest transitions the prior allows.
-    """
+    """Integration range [t_lo, t_hi] of the area under the curve, in days."""
 
     t_lo: float = 1.0
     t_hi: float = 365.0
-    panels: int = 2912
 
     def __post_init__(self):
         if not (np.isfinite(self.t_lo) and np.isfinite(self.t_hi)
                 and self.t_lo < self.t_hi):
             raise ValueError(
                 f"need t_lo < t_hi, got ({self.t_lo}, {self.t_hi})"
-            )
-        if (not isinstance(self.panels, (int, np.integer))
-                or isinstance(self.panels, bool) or self.panels < 4
-                or self.panels % 2):
-            raise ValueError(
-                f"panels must be an even integer >= 4, got {self.panels!r}"
             )
 
 
@@ -95,7 +83,9 @@ def sample_mean(x: np.ndarray) -> float:
 
 
 def sample_sd(x: np.ndarray, mean: float) -> float:
-    """Standard deviation (n-1 denominator) around a given mean."""
+    """Standard deviation (n-1 denominator) of >= 2 samples around a mean."""
+    if x.size < 2:
+        raise ValueError(f"sd needs at least 2 samples, got {x.size}")
     return math.sqrt(math.fsum((x - mean) ** 2) / (x.size - 1))
 
 
@@ -178,44 +168,53 @@ def crossover_samples(chain: Chain) -> np.ndarray:
     return _crossover_raw(a3, a4, a6, a7)
 
 
-def _simpson_segment(al, lo: float, hi: float, m: int) -> float:
-    x = np.linspace(lo, hi, m + 1)
-    f = _curve_raw(x, al[0], al[1], al[2], al[3], al[4], al[5], al[6])
-    w = np.ones(m + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    # grouped as width * (dot / (3m)): for a constant curve the division
-    # cancels the weight total exactly, making the constant-curve identity
-    # integral == c * width bit-exact for dyadic c
-    return (hi - lo) * (float(w @ f) / (3.0 * m))
+# Taylor coefficients c_j of expit(u) at u^0..u^7
+_EXPIT_SERIES = np.array([1 / 2, 1 / 4, 0, -1 / 48, 0, 1 / 480, 0, -17 / 80640])
 
 
-def _auc_one(al, q: QuadratureConfig) -> float:
-    delta = _crossover_raw(al[2], al[3], al[5], al[6])
-    d = min(max(delta, q.t_lo), q.t_hi)
-    frac = (d - q.t_lo) / (q.t_hi - q.t_lo)
-    left = int(round(q.panels * frac / 2.0)) * 2
-    left = min(max(left, 2), q.panels - 2)
-    right = q.panels - left
-    return (_simpson_segment(al, q.t_lo, d, left)
-            + _simpson_segment(al, d, q.t_hi, right))
+def _branch_integral(b0, a5, k, s_lo, s_hi):
+    """Integral of (b0 - a5*s) * expit(k*s) over s in [s_lo, s_hi].
+
+    With u = k*s it is b0/k * softplus(u) - a5/k^2 * (u*softplus(u) - G(u))
+    between the ends, G(u) = -Li2(-e^u) = -spence(1 + e^u) for u <= 0 and
+    pi^2/6 + u^2/2 - G(-u) for u > 0. That cancels badly where |u| < 1e-2 on
+    the whole range (k == 0 too), so there each term c_j*u^j of the Taylor
+    series of expit gives c_j*u^j*s*(b0/(j+1) - a5*s/(j+2)) instead.
+    """
+    def closed(s):
+        u = k * s
+        sp = np.logaddexp(0.0, u)
+        g = -spence(1.0 + np.exp(-np.abs(u)))
+        g = np.where(u > 0, np.pi ** 2 / 6 + 0.5 * u * u - g, g)
+        return b0 / k * sp - a5 / (k * k) * (u * sp - g)
+
+    def series(s):
+        u, j = k * s, np.arange(1, 9)
+        return s * (b0 * polyval(u, _EXPIT_SERIES / j)
+                    - a5 * s * polyval(u, _EXPIT_SERIES / (j + 1)))
+
+    small = np.maximum(np.abs(k * s_lo), np.abs(k * s_hi)) < 1e-2
+    with np.errstate(divide="ignore", invalid="ignore"):  # k == 0 is small
+        exact = closed(s_hi) - closed(s_lo)
+    return np.where(small, series(s_hi) - series(s_lo), exact)
 
 
 def auc_samples(chain: Chain, q: QuadratureConfig | None = None) -> np.ndarray:
     """Posterior of the area under the curve over [t_lo, t_hi]: one per draw.
 
-    Each draw is integrated by composite Simpson quadrature split at that
-    draw's crossover day (panels allocated proportionally to the two
-    sub-intervals, minimum 2 per side, kept even), so each rule integrates a
-    smooth logistic branch. With the default 2912 panels the result agrees
-    with a 1e6-cell midpoint Riemann sum to better than 1e-6 relative across
-    the prior range, including its sharpest-transition corners.
+    Exact per draw: alpha1 * (t_hi - t_lo), bit for bit for a flat curve,
+    plus the spring branch up to the crossover day (clipped into [t_lo,
+    t_hi]) and the autumn branch after it, by :func:`_branch_integral`.
+    ValueError if any draw has degenerate rates (alpha3 + alpha6 <= 0).
     """
     _require_nonempty(chain)
-    if q is None:
-        q = QuadratureConfig()
-    return np.array([_auc_one(row, q) for row in chain.samples[:, :7]],
-                    dtype=np.float64)
+    q = q or QuadratureConfig()
+    a1, a2, a3, a4, a5, a6, a7 = _cols(chain)[:7]
+    _check_rates(a3, a6)
+    d = np.clip(_crossover_raw(a3, a4, a6, a7), q.t_lo, q.t_hi)
+    spring = _branch_integral(a2 - a5 * a4, a5, a3, q.t_lo - a4, d - a4)
+    autumn = _branch_integral(a2 - a5 * a7, a5, -a6, d - a7, q.t_hi - a7)
+    return a1 * (q.t_hi - q.t_lo) + spring + autumn
 
 
 def functional_samples(chain: Chain, functional: str,

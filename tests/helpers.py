@@ -201,6 +201,35 @@ def gl_integral(fn, lo: float, hi: float, panels: int = 64,
     return total
 
 
+def mp_auc(row, t_lo: float = 1.0, t_hi: float = 365.0,
+           dps: int = 30) -> float:
+    """AUC of one curve row by mpmath quadrature at ``dps`` digits.
+
+    The range is split at the crossover day (the slope kink) and at each
+    inflection day inside its branch, so every piece is smooth and has at
+    most one sharp transition at an end.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        a1, a2, a3, a4, a5, a6, a7 = (mpmath.mpf(float(v)) for v in row[:7])
+        lo, hi = mpmath.mpf(t_lo), mpmath.mpf(t_hi)
+        d = min(max((a3 * a4 + a6 * a7) / (a3 + a6), lo), hi)
+
+        def spring(t):
+            return a1 + (a2 - a5 * t) / (1 + mpmath.exp(-a3 * (t - a4)))
+
+        def autumn(t):
+            return a1 + (a2 - a5 * t) / (1 + mpmath.exp(-a6 * (a7 - t)))
+
+        total = mpmath.mpf(0)
+        for fn, a, b, knot in ((spring, lo, d, a4), (autumn, d, hi, a7)):
+            if a < b:
+                pts = [a, knot, b] if a < knot < b else [a, b]
+                total += mpmath.quad(fn, pts)
+        return float(total)
+
+
 def riemann_auc(rows: np.ndarray, t_lo: float = 1.0, t_hi: float = 365.0,
                 cells: int = 1_000_000) -> np.ndarray:
     """Midpoint-Riemann AUC oracle per sample row, vectorised over t."""

@@ -279,23 +279,23 @@ def test_criterion_05_likelihoods_agree(pixel_panel, criterion):
 
 
 # ---------------------------------------------------------------------------
-# criterion 6: Simpson day-1..365 integral against a brute-force Riemann sum
+# criterion 6: closed-form day-1..365 integral against a brute-force Riemann sum
 # ---------------------------------------------------------------------------
 
 def test_criterion_06_quadrature_accuracy(criterion):
     cap = 30.0
-    desc = ("100 random curves: Simpson AUC within 1e-6 relative of a "
+    desc = ("100 random curves: closed-form AUC within 1e-6 relative of a "
             "10^6-cell Riemann sum; flat curve is exact")
     passed = False
     t0 = time.perf_counter()
     try:
         rng = np.random.default_rng(66)
         rows = draw_support_rows(rng, 100)
-        simpson = functional_samples(chain_from_rows(rows), "auc",
-                                     q=QuadratureConfig())
+        closed = functional_samples(chain_from_rows(rows), "auc",
+                                    q=QuadratureConfig())
         brute = riemann_auc(rows, cells=1_000_000)
         assert np.min(np.abs(brute)) > 0.5  # relative error is well posed
-        rel = np.abs(simpson - brute) / np.abs(brute)
+        rel = np.abs(closed - brute) / np.abs(brute)
         assert np.max(rel) < 1e-6
 
         # zero seasonal amplitude: the curve is the constant alpha1, whose

@@ -462,19 +462,19 @@ def result(spec):
 
 class TestSummarizeBrick:
     def test_matches_per_pixel_loop(self, result):
-        for functional in ("alpha4", "season_length", "auc"):
-            med = summarize_brick(result, functional, "median")
-            mean = summarize_brick(result, functional, "mean")
-            width = summarize_brick(result, functional, "width95")
-            from lspfit import functional_samples
+        from lspfit import functional_samples
 
+        for functional in ("alpha4", "season_length", "auc"):
+            grids = {st: summarize_brick(result, functional, st)
+                     for st in ("mean", "sd", "median", "q025", "q975",
+                                "width95")}
             for r in range(2):
                 for c in range(2):
                     vec = functional_samples(result.chain_at(r, c), functional)
                     s = summarize(vec)
-                    assert med[r, c] == s.median
-                    assert mean[r, c] == s.mean
-                    assert width[r, c] == s.q975 - s.q025
+                    assert grids["width95"][r, c] == s.q975 - s.q025
+                    for st in ("mean", "sd", "median", "q025", "q975"):
+                        assert grids[st][r, c] == getattr(s, st), st
 
     def test_unknown_names(self, result):
         with pytest.raises(ValueError, match="functional"):

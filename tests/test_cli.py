@@ -22,7 +22,7 @@ from helpers import (
     py_curve_value,
     standard_starting,
 )
-from lspfit.brick import Brick, pixel_seed, read_brick, write_brick
+from lspfit.brick import Brick, fit_brick, pixel_seed, read_brick, write_brick
 from lspfit.cli import main
 from lspfit.posterior import QuadratureConfig, functional_samples, summarize
 from lspfit.sampler import ChainConfig, read_chain_csv, write_chain_csv
@@ -445,6 +445,39 @@ class TestFitBrick:
         grid = read_grid_csv(tmp_path / "o_alpha1_median.csv")
         assert np.isnan(grid[0, 0])
 
+    def test_sd_with_one_retained_draw_exits_2_before_fitting(
+            self, sim_brick, tmp_path, capsys):
+        rc = run_cli(["fit-brick", "--input", sim_brick, "--out", tmp_path / "o",
+                      "--ig", "2,0.001", "--n-samples", "200",
+                      "--sub-start", "200", "--sub-thin", "1", "--min-obs", "5"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "sd needs at least 2 retained draws" in err
+        assert "fitting brick" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_skipped_reason_round_trips_through_csv(self, sim_brick, tmp_path,
+                                                    monkeypatch):
+        import dataclasses
+
+        import lspfit.cli as cli
+
+        reason = 'bad value "1,5", then, a quote"'
+
+        def fit_with_reason(*args, **kwargs):
+            result = fit_brick(*args, **kwargs)
+            return dataclasses.replace(result, skipped=((1, 2, reason),))
+
+        monkeypatch.setattr(cli, "fit_brick", fit_with_reason)
+        rc = run_cli(["fit-brick", "--input", sim_brick, "--out", tmp_path / "o",
+                      "--ig", "2,0.001", "--n-samples", "100",
+                      "--sub-start", "51", "--min-obs", "5",
+                      "--functionals", "alpha1", "--statistics", "median"])
+        assert rc == 0
+        with open(tmp_path / "o_skipped.csv", newline="") as fh:
+            records = list(csv.reader(fh))
+        assert records == [["row", "col", "reason"], ["1", "2", reason]]
+
     def test_fully_masked_warns_and_exits_zero(self, tmp_path, capsys):
         values = np.full((1, 2, 10), 0.5, dtype=np.float32)
         doys = np.linspace(20.0, 340.0, 10)
@@ -525,6 +558,13 @@ class TestEntryPoints:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_panels_option_is_gone(self, capsys):
+        # the AUC is exact, so there is no quadrature panel count to set
+        with pytest.raises(SystemExit) as exc:
+            main(["fit-brick", "--panels", "10", "--input", "x.lspb"])
+        assert exc.value.code == 2
+        assert "--panels" in capsys.readouterr().err
 
     def test_module_invocation(self):
         proc = subprocess.run([sys.executable, "-m", "lspfit.cli", "--help"],

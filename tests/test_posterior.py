@@ -9,6 +9,7 @@ from scipy.stats import norm
 from helpers import (
     chain_from_rows,
     draw_support_rows,
+    mp_auc,
     py_crossover,
     py_curve_value,
     riemann_auc,
@@ -27,6 +28,7 @@ from lspfit import (
     summarize,
     write_summary_csv,
 )
+from lspfit.posterior import sample_sd
 
 NORMAL = LikelihoodKind.normal()
 TN01 = LikelihoodKind.truncated_normal(0.0, 1.0)
@@ -58,6 +60,10 @@ class TestSummarize:
             summarize([1.0])
         with pytest.raises(ValueError):
             summarize([])
+
+    def test_sd_needs_two_samples(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            sample_sd(np.array([0.5]), 0.5)
 
     def test_quantile_ordering_invariant(self):
         rng = np.random.default_rng(0)
@@ -140,6 +146,23 @@ class TestSampleFunctionals:
             functional_samples(ch, "greenness")
 
 
+def _oracle_rows():
+    """Corner curves for the closed-form AUC: every rate on each branch
+    (against 0.1 on the other, and on both), both trend signs, inflections
+    at the ends of either test interval, coinciding, and ordinary; then a
+    negative spring rate, and a spring rate of 0 with a steep trend."""
+    rates = (0.0, 1e-12, 1e-9, 1e-6, 2e-5, 3e-5, 1e-2, 1.0)
+    pairs = {(r, 0.1) for r in rates} | {(0.1, r) for r in rates}
+    pairs |= {(r, r) for r in rates[1:]}
+    rows = [[0.2, 0.5, a3, a4, a5, a6, a7, 1e-3]
+            for a3, a6 in sorted(pairs) for a5 in (-0.01, 0.01)
+            for a4, a7 in ((1.0, 365.0), (100.0, 200.0), (200.0, 200.0),
+                           (120.0, 280.0))]
+    rows.append([0.2, 0.5, -0.01, 120.0, 0.005, 0.1, 280.0, 1e-3])
+    rows.append([0.2, 0.5, 0.0, 120.0, 0.005, 0.1, 280.0, 1e-3])
+    return np.array(rows)
+
+
 class TestAuc:
     def test_constant_curve_exact(self):
         rows = np.tile([0.25, 0.0, 0.1, 120.0, 0.0, 0.1, 280.0, 3e-3], (5, 1))
@@ -188,16 +211,28 @@ class TestAuc:
 
     def test_custom_interval(self):
         rows = np.tile([0.25, 0.0, 0.1, 120.0, 0.0, 0.1, 280.0, 3e-3], (2, 1))
-        q = QuadratureConfig(100.0, 200.0, 40)
+        q = QuadratureConfig(100.0, 200.0)
         assert np.all(auc_samples(chain_from_rows(rows), q) == 0.25 * 100.0)
 
     def test_quadrature_config_validation(self):
         with pytest.raises(ValueError):
-            QuadratureConfig(1.0, 365.0, 727)  # odd
-        with pytest.raises(ValueError):
-            QuadratureConfig(1.0, 365.0, 2)  # too few to split at the kink
-        with pytest.raises(ValueError):
-            QuadratureConfig(365.0, 1.0, 728)  # inverted interval
+            QuadratureConfig(365.0, 1.0)  # inverted interval
+
+    def test_degenerate_rates_error(self):
+        rows = np.tile([0.2, 0.5, 0.1, 120.0, 0.0, 0.1, 280.0, 3e-3], (3, 1))
+        for a6 in (-0.1, -0.2):  # alpha3 + alpha6 zero, then negative
+            rows[1, 5] = a6
+            with pytest.raises(ValueError, match="degenerate rates"):
+                auc_samples(chain_from_rows(rows))
+
+    @pytest.mark.parametrize("t_lo,t_hi", [(1.0, 365.0), (100.0, 200.0)])
+    def test_mpmath_oracle(self, t_lo, t_hi):
+        rows = _oracle_rows()
+        got = auc_samples(chain_from_rows(rows), QuadratureConfig(t_lo, t_hi))
+        want = np.array([mp_auc(row, t_lo, t_hi) for row in rows])
+        assert np.all(np.isfinite(got))
+        rel = np.abs(got - want) / np.abs(want)
+        assert rel.max() <= 1e-9, rows[np.argmax(rel)]
 
 
 class TestPredictive:
