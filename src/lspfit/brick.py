@@ -1,11 +1,17 @@
 """Raster bricks: data model, binary round-trip, CSV ingestion, parallel fitting.
 
 A Brick is a rows x cols x layers stack of vegetation-index values with one
-day-of-year per layer and NaN as the missing marker. Fitting walks every
-requested pixel, assembles its non-missing (doy, value) pairs into a series,
-and runs an independent Metropolis chain seeded by a splitmix64 mix of the
-base seed and the pixel's linear index. Seeds depend only on (row, col), so
-results are bit-identical for any worker count and any scheduling order.
+day-of-year per layer and NaN as the missing marker. Fitting gives every
+requested pixel an independent Metropolis chain on its non-missing
+(doy, value) pairs, seeded by a splitmix64 mix of the base seed and the
+pixel's linear index. Pixels are grouped by observation count and each group
+is cut into blocks of at most ``BLOCK_CAP`` pixels, whose chains advance in
+lockstep (:func:`lspfit.sampler.run_lockstep`); a group of fewer than
+``LOCKSTEP_MIN`` pixels is fitted pixel by pixel with
+:func:`lspfit.sampler.run_chain`. Either way each pixel's chain is the one
+``run_chain`` gives for its seed, and seeds depend only on (row, col), so
+results are bit-identical for any worker count, block cut and scheduling
+order.
 
 The on-disk `LSPB` format is fixed bit-exactly:
 
@@ -25,7 +31,8 @@ import os
 import struct
 import tempfile
 import weakref
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,13 +41,14 @@ from .curve import _check_doys, _in_doy_range
 from .likelihood import LikelihoodKind, ObservationSeries
 from .prior import ParamVector, PriorSpec, _FlatPrior
 from .posterior import (
+    FUNCTIONALS,
     QuadratureConfig,
     functional_samples,
     sample_mean,
     sample_sd,
 )
 from .sampler import (_MASK64, Chain, ChainConfig, TuningSpec, run_chain,
-                      subsample_indices)
+                      run_lockstep, subsample_indices)
 
 __all__ = [
     "Brick",
@@ -61,6 +69,16 @@ _VERSION = 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 STATISTICS = ("mean", "sd", "median", "q025", "q975", "width95")
+
+# Most pixels one lockstep block holds. A Beta block on 23 days cost, per
+# pixel and iteration, 5.6 us at 32 pixels, 3.5 at 128, 3.2 at 256, 3.0 at
+# 512 and 3.0 at 1 024 (best of 7 on a 2-core host, CHANGES.md): 256 is
+# within 8% of the best while a block's pre-draws stay at 19 MB.
+BLOCK_CAP = 256
+# Fewest pixels of one observation count fitted in lockstep. Per pixel and
+# iteration, blocks of 3 cost 24 us and blocks of 4 18 us, against 22 us for
+# run_chain on the same host and series (CHANGES.md).
+LOCKSTEP_MIN = 4
 
 
 @dataclass(frozen=True)
@@ -409,21 +427,85 @@ def _init_worker(ctx):
     _WORKER_CTX = ctx
 
 
-def _fit_pixel_pooled(task):
-    return _fit_pixel(task, _WORKER_CTX)
+def _fit_block_pooled(task):
+    return _fit_block(task, _WORKER_CTX)
 
 
-def _fit_pixel(task, ctx):
-    r, c, doys, values, seed = task
-    kind, spec, starting, tuning, config, bounds = ctx
+def _fit_pixel(r, c, t, y, seed, ctx):
+    kind, spec, starting, tuning, config = ctx
     try:
-        series = ObservationSeries(doys, values, bounds)
-        chain = run_chain(kind, series, spec, starting, tuning,
-                          replace(config, seed=seed))
+        chain = run_chain(kind, ObservationSeries(t, y), spec, starting,
+                          tuning, replace(config, seed=seed))
         return (r, c, chain.samples, chain.acc_overall, chain.acc_last_batch,
                 None)
     except Exception as exc:
         return (r, c, None, math.nan, math.nan, f"{type(exc).__name__}: {exc}")
+
+
+def _fit_block(task, ctx):
+    """Fit one block of pixels sharing an observation count; returns one
+    ``(row, col, samples, acc_overall, acc_last_batch, error)`` per pixel."""
+    cells, t, y, seeds = task
+    if len(cells) >= LOCKSTEP_MIN:
+        kind, spec, starting, tuning, config = ctx
+        try:
+            samples, acc, acc_batch = run_lockstep(
+                kind, t, y, spec, starting, tuning, config, seeds)
+            return [(r, c, samples[i], acc[i], acc_batch[i], None)
+                    for i, (r, c) in enumerate(cells)]
+        except Exception:
+            pass  # refit pixel by pixel below, logging each pixel's own error
+    return [_fit_pixel(r, c, t[i], y[i], seeds[i], ctx)
+            for i, (r, c) in enumerate(cells)]
+
+
+def _block_task(brick, finite, cells, base_seed):
+    """``(cells, t, y, seeds)`` of a block of pixels with one observation
+    count: their days and values as ``(B, count)`` float64 arrays."""
+    rows, cols = cells[:, 0], cells[:, 1]
+    sel = finite[rows, cols]
+    shape = (len(cells), int(sel[0].sum()))
+    t = np.broadcast_to(brick.doys, sel.shape)[sel].reshape(shape)
+    y = brick.values[rows, cols][sel].reshape(shape).astype(np.float64)
+    cells = [tuple(rc) for rc in cells.tolist()]
+    seeds = [pixel_seed(base_seed, r, c, brick.cols) for r, c in cells]
+    return cells, t, y, seeds
+
+
+def _unfinished(cells, exc):
+    reason = f"BrokenProcessPool: block not finished: {exc}"
+    return [(r, c, None, math.nan, math.nan, reason) for r, c in cells]
+
+
+def _fit_pooled(tasks, ctx, workers):
+    """Yield the per-pixel results of every block task from a process pool,
+    with at most ``2 * workers`` blocks in flight. If a worker dies, the
+    blocks that finished are kept and every pixel of the others is logged
+    as failed."""
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                               initargs=(ctx,))
+    inflight = {}  # future -> the cells of its block
+
+    def results(fut, cells):
+        try:
+            return fut.result()
+        except BrokenProcessPool as exc:
+            return _unfinished(cells, exc)
+
+    try:
+        for task in tasks:
+            while len(inflight) >= 2 * workers:
+                done, _ = wait(inflight, return_when=FIRST_COMPLETED)
+                for fut in done:
+                    yield from results(fut, inflight.pop(fut))
+            try:
+                inflight[pool.submit(_fit_block_pooled, task)] = task[0]
+            except BrokenProcessPool as exc:
+                yield from _unfinished(task[0], exc)
+        for fut in list(inflight):
+            yield from results(fut, inflight.pop(fut))
+    finally:
+        pool.shutdown()
 
 
 def fit_brick(brick: Brick, kind: LikelihoodKind, spec: PriorSpec,
@@ -434,10 +516,12 @@ def fit_brick(brick: Brick, kind: LikelihoodKind, spec: PriorSpec,
     """Fit every requested pixel's chain; deterministic for any worker count.
 
     Each unmasked pixel with at least ``min_obs`` non-missing observations
-    is fitted by :func:`run_chain` on its (doy, value) pairs, seeded with
-    ``pixel_seed(config.seed, row, col, cols)``. A pixel that is skipped
-    (too few observations) or fails is logged in ``skipped`` with a reason
-    and left as NaN in the outputs; the run never aborts on a pixel.
+    gets the chain :func:`run_chain` gives on its (doy, value) pairs, seeded
+    with ``pixel_seed(config.seed, row, col, cols)``. Pixels are fitted in
+    blocks of one observation count (see the module docstring). A pixel that
+    is skipped (too few observations) or fails is logged in ``skipped`` with
+    a reason and left as NaN in the outputs; the run never aborts on a
+    pixel, nor on a pool worker that dies.
 
     Parameters
     ----------
@@ -490,49 +574,42 @@ def fit_brick(brick: Brick, kind: LikelihoodKind, spec: PriorSpec,
         samples = np.empty((rows, cols, m, 8), dtype=np.float64)
     samples[:] = np.nan
     acceptance = np.full((rows, cols, 2), np.nan, dtype=np.float64)
-    n_obs = np.zeros((rows, cols), dtype=np.int32)
     skipped = []
 
-    values = np.asarray(brick.values, dtype=np.float64)
-    finite = np.isfinite(values)
+    finite = np.isfinite(brick.values)
     n_obs_all = finite.sum(axis=2).astype(np.int32)
-    n_obs[:] = np.where(mask, n_obs_all, 0)
+    n_obs = np.where(mask, n_obs_all, 0).astype(np.int32)
 
-    tasks = []
-    for r in range(rows):
-        for c in range(cols):
-            if not mask[r, c]:
-                continue
-            k = int(n_obs_all[r, c])
-            if k < min_obs:
-                skipped.append(
-                    (r, c, f"too few observations: {k} < min_obs {min_obs}")
-                )
-                continue
-            sel = finite[r, c]
-            tasks.append((r, c, brick.doys[sel], values[r, c, sel],
-                          pixel_seed(config.seed, r, c, cols)))
+    groups = {}  # observation count -> requested pixels
+    for r, c in zip(*np.nonzero(mask)):
+        r, c, k = int(r), int(c), int(n_obs_all[r, c])
+        if k < min_obs:
+            skipped.append(
+                (r, c, f"too few observations: {k} < min_obs {min_obs}")
+            )
+            continue
+        groups.setdefault(k, []).append((r, c))
+    # each group cut into near-equal blocks of at most BLOCK_CAP pixels,
+    # largest groups first, so the pool ends on small blocks
+    blocks = [part for cells in sorted(groups.values(), key=len, reverse=True)
+              for part in np.array_split(np.array(cells),
+                                         -(-len(cells) // BLOCK_CAP))]
+    tasks = (_block_task(brick, finite, cells, config.seed)
+             for cells in blocks)
 
-    ctx = (kind, spec, starting, tuning, config, spec.bounds)
-    if workers == 1 or len(tasks) <= 1:
-        it = (_fit_pixel(task, ctx) for task in tasks)
+    ctx = (kind, spec, starting, tuning, config)
+    if workers == 1 or len(blocks) <= 1:
+        it = (res for task in tasks for res in _fit_block(task, ctx))
     else:
-        pool = ProcessPoolExecutor(max_workers=workers,
-                                   initializer=_init_worker, initargs=(ctx,))
-        chunk = max(1, len(tasks) // (workers * 8))
-        it = pool.map(_fit_pixel_pooled, tasks, chunksize=chunk)
+        it = _fit_pooled(tasks, ctx, min(workers, len(blocks)))
 
-    try:
-        for r, c, chain_samples, acc, acc_batch, err in it:
-            if err is not None:
-                skipped.append((r, c, err))
-                continue
-            samples[r, c] = chain_samples
-            acceptance[r, c, 0] = acc
-            acceptance[r, c, 1] = acc_batch
-    finally:
-        if workers > 1 and len(tasks) > 1:
-            pool.shutdown()
+    for r, c, chain_samples, acc, acc_batch, err in it:
+        if err is not None:
+            skipped.append((r, c, err))
+            continue
+        samples[r, c] = chain_samples
+        acceptance[r, c, 0] = acc
+        acceptance[r, c, 1] = acc_batch
 
     result = BrickFitResult(samples, acceptance, n_obs,
                             tuple(sorted(skipped)), brick.georef)
@@ -546,6 +623,20 @@ def _cleanup_memmap(path):
         os.unlink(path)
     except OSError:
         pass
+
+
+def _check_summary_names(functionals, statistics) -> None:
+    """Raise ValueError naming the first unknown functional or statistic."""
+    for fn in functionals:
+        if fn not in FUNCTIONALS:
+            raise ValueError(
+                f"unknown functional {fn!r}; expected one of {FUNCTIONALS}"
+            )
+    for st in statistics:
+        if st not in STATISTICS:
+            raise ValueError(
+                f"unknown statistic {st!r}; expected one of {STATISTICS}"
+            )
 
 
 def summarize_brick(result: BrickFitResult, functional: str, statistic: str,
@@ -562,10 +653,7 @@ def summarize_brick(result: BrickFitResult, functional: str, statistic: str,
     ValueError
         Unknown functional or statistic name.
     """
-    if statistic not in STATISTICS:
-        raise ValueError(
-            f"unknown statistic {statistic!r}; expected one of {STATISTICS}"
-        )
+    _check_summary_names((functional,), (statistic,))
     grid = np.full((result.rows, result.cols), np.nan, dtype=np.float64)
     fitted = result.fitted_mask()
     for r in range(result.rows):

@@ -21,9 +21,9 @@ import sys
 
 import numpy as np
 
-from .brick import (Brick, fit_brick, grid_to_brick, ingest_long_csv,
-                    pixel_seed, read_brick, summarize_brick, write_brick,
-                    write_grid_csv)
+from .brick import (Brick, _check_summary_names, fit_brick,
+                    grid_to_brick, ingest_long_csv, pixel_seed, read_brick,
+                    summarize_brick, write_brick, write_grid_csv)
 from .curve import CurveParams, IndexBounds
 from .likelihood import LikelihoodKind, NoiseParam, ObservationSeries, simulate_series
 from .posterior import (FUNCTIONALS, QuadratureConfig, format_summary_csv,
@@ -50,6 +50,9 @@ DEFAULT_TUNING = {
 }
 
 OVERRIDABLE_PRIORS = ("alpha1", "alpha3", "alpha5", "alpha6", "alpha7")
+
+# options whose config-file keys are PREFIX_NAME, read by _Options.keyed
+KEYED_PREFIXES = ("prior", "start", "tune")
 
 
 def _progress(msg: str) -> None:
@@ -103,7 +106,11 @@ def _parse_doys(text: str) -> np.ndarray:
     return np.array([float(p) for p in text.split(",")], dtype=np.float64)
 
 
-def _read_config_file(path) -> dict[str, str]:
+def _read_config_file(path, known) -> dict[str, str]:
+    """Config-file entries, keyed like argparse dests; ValueError naming the
+    file and the key for a key that is not in ``known`` and not under one of
+    its keyed prefixes (``prior_``, ``start_``, ``tune_``)."""
+    keyed = known & set(KEYED_PREFIXES)
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -115,7 +122,12 @@ def _read_config_file(path) -> dict[str, str]:
                     f"{path}:{lineno}: expected key = value, got {raw.strip()!r}"
                 )
             key, _, val = line.partition("=")
-            out[key.strip().replace("-", "_")] = val.strip()
+            name = key.strip().replace("-", "_")
+            if name not in known and name.partition("_")[0] not in keyed:
+                raise ValueError(
+                    f"{path}:{lineno}: unknown config key {key.strip()!r}"
+                )
+            out[name] = val.strip()
     return out
 
 
@@ -124,7 +136,9 @@ class _Options:
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
-        self.file = _read_config_file(args.config) if args.config else {}
+        known = set(vars(args)) - {"command", "config"}
+        self.file = (_read_config_file(args.config, known) if args.config
+                     else {})
         self.resolved = {}
 
     def get(self, key: str, default=None, parse=lambda s: s):
@@ -583,10 +597,11 @@ def cmd_fit_brick(opt: _Options) -> int:
         raise ValueError("--pooled and --annual are mutually exclusive")
     clamp = opt.get("clamp_beta_eps", None, float)
     value_col = opt.get("value_col", "evi")
-    functionals = str(opt.get("functionals",
-                              ",".join(PARAM_KEYS))).split(",")
+    functionals = [fn.strip() for fn in
+                   str(opt.get("functionals", ",".join(PARAM_KEYS))).split(",")]
     statistics = [st.strip() for st in
                   str(opt.get("statistics", "median,sd")).split(",")]
+    _check_summary_names(functionals, statistics)
     if "sd" in statistics and subsample_indices(config).size < 2:
         raise ValueError("statistic sd needs at least 2 retained draws")
     lspb_grids = opt.get("lspb_grids", False, _parse_bool)
@@ -622,7 +637,6 @@ def cmd_fit_brick(opt: _Options) -> int:
         _progress(f"fitted {n_fit} pixel(s), skipped {len(result.skipped)}")
 
         for fn in functionals:
-            fn = fn.strip()
             for st in statistics:
                 grid = summarize_brick(result, fn, st, quad)
                 gpath = f"{prefix}_{fn}_{st}.csv"

@@ -18,6 +18,17 @@ path); and ``draw``, predictive draws at scalar or array means, one
 generator draw per mean in order. ``_KERNELS`` maps a kind to its kernel;
 it is the only place where a formula is chosen by kind.
 
+``bind`` writes each formula once, for one series or a block of series.
+Days and values are ``(m,)`` arrays, or ``(B, m)`` arrays holding one series
+per row (the rows of a block may have different days). The closure then
+takes seven floats and a float ``s2``, or seven ``(B, 1)`` columns and a
+``(B,)`` ``s2``, and returns a float or a ``(B,)`` array. Reductions run
+along the last axis (``.sum(-1)``, ``np.vecdot``), which gives every row
+exactly the value of the one-series call; ``math.log`` of ``s2`` is taken
+row by row for the same reason (``np.log`` can differ in the last bit).
+Data a model cannot produce and means outside the admissible set give
+``-inf`` on their own rows only.
+
 Log-densities return ``-inf`` (never raise) whenever the density is zero or
 undefined because the mean left the admissible set; a Metropolis step can then
 simply reject such proposals. Errors are reserved for structurally invalid
@@ -162,9 +173,31 @@ def _tn_log_mass(mu, sd, a, b):
         return la + np.log1p(-np.exp(lb - la))
 
 
+def _math_log(x):
+    """``math.log`` of a float, or of each value of an array (``np.log`` can
+    differ from ``math.log`` in the last bit)."""
+    if isinstance(x, np.ndarray):
+        return np.array(list(map(math.log, x.tolist())))
+    return math.log(x)
+
+
+def _col(x):
+    """A ``(B,)`` array as a ``(B, 1)`` column that broadcasts against
+    ``(B, m)`` rows; a float as is."""
+    return x[:, None] if isinstance(x, np.ndarray) else x
+
+
+def _masked(ok, ll):
+    """``ll`` where ``ok`` holds and -inf elsewhere, per row of a block."""
+    if isinstance(ll, np.ndarray):
+        return np.where(ok, ll, -math.inf)
+    return float(ll) if ok else -math.inf
+
+
 def _gauss_sum(r, n, s2):
-    """Summed Normal(0, s2) log-density of the n residuals ``r``."""
-    return -0.5 * n * (_LOG_2PI + math.log(s2)) - float(r @ r) / (2.0 * s2)
+    """Summed Normal(0, s2) log-density of the n residuals ``r`` (per row)."""
+    return (-0.5 * n * (_LOG_2PI + _math_log(s2))
+            - np.vecdot(r, r) / (2.0 * s2))
 
 
 class _Normal:
@@ -174,7 +207,7 @@ class _Normal:
         return -0.5 * (_LOG_2PI + math.log(s2)) - (y - mu) ** 2 / (2.0 * s2)
 
     def bind(self, kind, t, y):
-        n = y.size
+        n = y.shape[-1]
 
         def loglik(al, s2):
             mu = _curve_raw(t, al[0], al[1], al[2], al[3], al[4], al[5], al[6])
@@ -197,14 +230,14 @@ class _TNormal(_Normal):
 
     def bind(self, kind, t, y):
         a, b = kind.a, kind.b
-        if (y < a).any() or (y > b).any():
-            return lambda al, s2: -math.inf  # data the model cannot produce
-        n = y.size
+        n = y.shape[-1]
+        data_ok = ((y >= a) & (y <= b)).all(-1)  # else data the model cannot produce
 
         def loglik(al, s2):
             mu = _curve_raw(t, al[0], al[1], al[2], al[3], al[4], al[5], al[6])
-            return (_gauss_sum(y - mu, n, s2)
-                    - float(_tn_log_mass(mu, math.sqrt(s2), a, b).sum()))
+            ll = (_gauss_sum(y - mu, n, s2)
+                  - _tn_log_mass(mu, np.sqrt(_col(s2)), a, b).sum(-1))
+            return _masked(data_ok, ll)
         return loglik
 
     def draw(self, kind, mu, s2, rng):
@@ -232,23 +265,22 @@ class _Beta:
         )
 
     def bind(self, kind, t, y):
-        if (y <= 0.0).any() or (y >= 1.0).any():
-            return lambda al, s2: -math.inf
-        n = y.size
+        n = y.shape[-1]
+        data_ok = ((y > 0.0) & (y < 1.0)).all(-1)
+        y = np.where(_col(data_ok), y, 0.5)  # finite logs on rows set to -inf
         log_y = np.log(y)
         log_1my = np.log1p(-y)
 
         def loglik(al, s2):
             mu = _curve_raw(t, al[0], al[1], al[2], al[3], al[4], al[5], al[6])
-            if mu.min() <= 0.0 or mu.max() >= 1.0:
-                return -math.inf
             phi = 1.0 / s2
-            p = mu * phi
-            q = phi - p
-            return float(
-                n * gammaln(phi) - gammaln(p).sum() - gammaln(q).sum()
-                + (p - 1.0) @ log_y + (q - 1.0) @ log_1my
-            )
+            phi_col = _col(phi)
+            p = mu * phi_col
+            q = phi_col - p
+            ll = (n * gammaln(phi) - gammaln(p).sum(-1) - gammaln(q).sum(-1)
+                  + np.vecdot(p - 1.0, log_y) + np.vecdot(q - 1.0, log_1my))
+            return _masked(data_ok & (mu.min(-1) > 0.0) & (mu.max(-1) < 1.0),
+                           ll)
         return loglik
 
     def draw(self, kind, mu, s2, rng):
@@ -292,17 +324,26 @@ def log_density(kind: LikelihoodKind, y: float, mu: float, sigma2) -> float:
     return _KERNELS[kind.kind].log_density(kind, y, mu, _as_sigma2(sigma2))
 
 
+def loglik_fn(kind: LikelihoodKind, t, y):
+    """Build the summed log-likelihood ``f(alphas, sigma2)`` of ``(m,)`` or
+    ``(B, m)`` days ``t`` and values ``y`` (see the module docstring).
+
+    The closure is the single code path of :func:`series_log_likelihood`,
+    the sampler and the lockstep brick sampler, so they cannot diverge.
+    """
+    return _KERNELS[kind.kind].bind(kind, t, y)
+
+
 def series_loglik_fn(kind: LikelihoodKind, series: ObservationSeries):
     """Build a fast evaluator ``f(alphas, sigma2) -> float`` for one series.
 
     ``alphas`` is a length-7 array (or sequence) of curve parameters. The
     returned closure computes the summed log-likelihood of the series with
-    precomputed per-series constants; it is the single code path used by both
-    :func:`series_log_likelihood` and the sampler, so the two cannot diverge.
+    precomputed per-series constants (see :func:`loglik_fn`).
     """
     if len(series) == 0:
         raise ValueError("series must be non-empty")
-    return _KERNELS[kind.kind].bind(kind, series.doys, series.values)
+    return loglik_fn(kind, series.doys, series.values)
 
 
 def series_log_likelihood(kind: LikelihoodKind, series: ObservationSeries,

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .curve import CurveParams, IndexBounds
-from .likelihood import NoiseParam
+from .likelihood import NoiseParam, _math_log
 
 __all__ = [
     "PriorSpec",
@@ -178,8 +178,10 @@ def override_priors(spec: PriorSpec, *, alpha1=None, alpha3=None, alpha5=None,
 class _FlatPrior:
     """Plain-float view of a PriorSpec plus its state-independent log terms.
 
-    Shared by the public prior functions and the sampler hot loop so every
-    caller computes the identical log-prior, bit for bit.
+    Shared by the public prior functions, the sampler hot loop and the
+    lockstep brick sampler, so every caller computes the identical log-prior,
+    bit for bit. Each method takes one state as eight floats or a block of
+    states as eight ``(B,)`` columns.
     """
 
     __slots__ = ("lo1", "hi1", "lo3", "hi3", "lo5", "hi5", "lo6", "hi6",
@@ -205,28 +207,42 @@ class _FlatPrior:
             + self.ig_a * math.log(self.ig_b) - float(gammaln(self.ig_a))
         )
 
-    def in_support(self, a1, a2, a3, a4, a5, a6, a7, s2) -> bool:
+    def in_support(self, a1, a2, a3, a4, a5, a6, a7, s2):
+        """True where the state is strictly inside the support: a bool for
+        floats, a bool array for ``(B,)`` columns of a block of states."""
         return (
-            self.lo1 < a1 < self.hi1
-            and 0.0 < a2 < self.g2 - a1
-            and self.lo3 < a3 < self.hi3
-            and self.a4lo < a4 < a7
-            and self.lo5 < a5 < self.hi5
-            and self.lo6 < a6 < self.hi6
-            and self.lo7 < a7 < self.hi7
-            and s2 > 0.0
+            (self.lo1 < a1) & (a1 < self.hi1)
+            & (0.0 < a2) & (a2 < self.g2 - a1)
+            & (self.lo3 < a3) & (a3 < self.hi3)
+            & (self.a4lo < a4) & (a4 < a7)
+            & (self.lo5 < a5) & (a5 < self.hi5)
+            & (self.lo6 < a6) & (a6 < self.hi6)
+            & (self.lo7 < a7) & (a7 < self.hi7)
+            & (s2 > 0.0)
         )
 
-    def log_prior(self, a1, a2, a3, a4, a5, a6, a7, s2) -> float:
-        if not self.in_support(a1, a2, a3, a4, a5, a6, a7, s2):
-            return -math.inf
+    def _log_terms(self, a1, a7, s2, log):
+        """The log-prior inside the support, with its state-dependent terms;
+        ``log`` is ``math.log``, or ``_math_log`` for a block of states."""
         return (
             self.const
-            - math.log(self.g2 - a1)
-            - math.log(a7 - self.a4lo)
-            - (self.ig_a + 1.0) * math.log(s2)
+            - log(self.g2 - a1)
+            - log(a7 - self.a4lo)
+            - (self.ig_a + 1.0) * log(s2)
             - self.ig_b / s2
         )
+
+    def log_prior(self, a1, a2, a3, a4, a5, a6, a7, s2):
+        """Log-prior of one state (floats), or of each state of a block
+        (``(B,)`` columns); -inf outside the support, where the log terms
+        are never evaluated."""
+        inside = self.in_support(a1, a2, a3, a4, a5, a6, a7, s2)
+        if isinstance(inside, np.ndarray):
+            out = np.full(inside.shape, -math.inf)
+            out[inside] = self._log_terms(a1[inside], a7[inside], s2[inside],
+                                          _math_log)
+            return out
+        return self._log_terms(a1, a7, s2, math.log) if inside else -math.inf
 
 
 def in_support(spec: PriorSpec, v: ParamVector) -> bool:
@@ -238,10 +254,10 @@ def in_support(spec: PriorSpec, v: ParamVector) -> bool:
     support.
     """
     c = v.curve
-    return _FlatPrior(spec).in_support(
+    return bool(_FlatPrior(spec).in_support(
         c.alpha1, c.alpha2, c.alpha3, c.alpha4, c.alpha5, c.alpha6, c.alpha7,
         v.noise.sigma2,
-    )
+    ))
 
 
 def log_prior(spec: PriorSpec, v: ParamVector) -> float:

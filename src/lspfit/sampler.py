@@ -15,6 +15,18 @@ seed-sequence scrambling). Exactly two blocks are drawn, in this order:
 ``standard_normal((n_samples, 8))`` for the proposal steps, then
 ``random(n_samples)`` for the acceptance uniforms. Identical inputs and seed
 therefore produce bit-identical chains on any platform with IEEE-754 doubles.
+
+Both loops below take these draws in chunks of ``PREDRAW_CHUNK`` iterations
+(:func:`_predraw_chunks`): chunked ``standard_normal`` calls reproduce the
+single ``(n_samples, 8)`` call, and the uniforms come from a second
+generator with the same key, moved past the normals by one discarded pass
+over them. So a chain's memory does not grow with ``n_samples``.
+:func:`run_chain` runs one chain. :func:`run_lockstep` runs one chain per row
+of a block of equally long series: all chains advance one iteration
+together, through one batched log-target call over the ``(B, 8)`` block of
+proposals, and each row stays bit-identical to :func:`run_chain` with its
+own seed. At one chain the lockstep loop is slower than :func:`run_chain`,
+so single series keep the one-chain loop.
 """
 
 from __future__ import annotations
@@ -24,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .likelihood import LikelihoodKind, ObservationSeries, series_loglik_fn
+from .likelihood import (LikelihoodKind, ObservationSeries, loglik_fn,
+                         series_loglik_fn)
 from .prior import ParamVector, PriorSpec, _FlatPrior
 
 __all__ = [
@@ -36,6 +49,7 @@ __all__ = [
     "philox_generator",
     "log_posterior",
     "run_chain",
+    "run_lockstep",
     "subsample_indices",
     "write_chain_csv",
     "read_chain_csv",
@@ -45,6 +59,10 @@ GENERATOR_FAMILY = "philox4x64"
 CHAIN_CSV_HEADER = "alpha1,alpha2,alpha3,alpha4,alpha5,alpha6,alpha7,sigma2"
 
 _MASK64 = (1 << 64) - 1
+
+# Iterations of pre-draws held per chain at a time: 72 bytes each, so a
+# lockstep block of 256 chains holds 19 MB of them.
+PREDRAW_CHUNK = 1024
 
 
 def philox_generator(seed: int) -> np.random.Generator:
@@ -173,6 +191,15 @@ def subsample_indices(config: ChainConfig) -> np.ndarray:
                      dtype=np.int64)
 
 
+def _retained(config: ChainConfig):
+    """Whether the state after iteration i is retained, for i in
+    0..n_samples (0 never is), and the retained count."""
+    indices = subsample_indices(config)
+    retain = np.zeros(config.n_samples + 1, dtype=bool)
+    retain[indices] = True
+    return retain.tolist(), indices.size
+
+
 def log_posterior(kind: LikelihoodKind, series: ObservationSeries,
                   spec: PriorSpec, v: ParamVector) -> float:
     """Unnormalized log target: series log-likelihood plus log-prior.
@@ -232,47 +259,142 @@ def run_chain(kind: LikelihoodKind, series: ObservationSeries, spec: PriorSpec,
         )
     loglik = series_loglik_fn(kind, series)
 
-    n = config.n_samples
-    rng = philox_generator(config.seed)
-    steps = rng.standard_normal((n, 8))
-    steps *= tuning.to_array()
-    log_u = np.log(rng.random(n))
-
     z = math.log(theta[7])
     lp = flat.log_prior(*start_vals) + loglik(theta, theta[7])
 
-    indices = subsample_indices(config)
-    retain = np.zeros(n + 1, dtype=bool)
-    retain[indices] = True
-    retain = retain.tolist()
-    out = np.empty((indices.size, 8), dtype=np.float64)
+    n = config.n_samples
+    retain, m = _retained(config)
+    out = np.empty((m, 8), dtype=np.float64)
     ptr = 0
 
     batch_from = n - config.batch_len
     n_acc = 0
     n_acc_batch = 0
-
-    for i in range(n):
-        prop = theta + steps[i]
-        zp = z + steps[i, 7]
-        s2p = math.exp(zp)
-        prop[7] = s2p
-        p = prop.tolist()
-        lpp = flat.log_prior(*p)
-        if lpp != -math.inf:
-            lpp += loglik(prop, s2p)
-        if log_u[i] < lpp - lp + (zp - z):
-            theta = prop
-            z = zp
-            lp = lpp
-            n_acc += 1
-            if i >= batch_from:
-                n_acc_batch += 1
-        if retain[i + 1]:
-            out[ptr] = theta
-            ptr += 1
+    i = 0
+    for steps, log_u in _predraw_chunks((config.seed,), tuning, n):
+        for step, dz, lu in zip(steps[:, 0], steps[:, 0, 7].tolist(),
+                                log_u[:, 0].tolist()):
+            prop = theta + step
+            zp = z + dz
+            s2p = math.exp(zp)
+            prop[7] = s2p
+            p = prop.tolist()
+            lpp = flat.log_prior(*p)
+            if lpp != -math.inf:
+                lpp += loglik(prop, s2p)
+            if lu < lpp - lp + (zp - z):
+                theta = prop
+                z = zp
+                lp = lpp
+                n_acc += 1
+                if i >= batch_from:
+                    n_acc_batch += 1
+            i += 1
+            if retain[i]:
+                out[ptr] = theta
+                ptr += 1
 
     return Chain(out, n_acc / n, n_acc_batch / config.batch_len)
+
+
+def _predraw_chunks(seeds, tuning: TuningSpec, n: int):
+    """Yield ``(steps, log_u)`` chunks, ``(c, B, 8)`` and ``(c, B)``, of the
+    contract's pre-draws for each seed, ``PREDRAW_CHUNK`` iterations at a
+    time: the scaled proposal steps and the logs of the uniforms."""
+    sizes = [min(PREDRAW_CHUNK, n - i) for i in range(0, n, PREDRAW_CHUNK)]
+    normals = [philox_generator(s) for s in seeds]
+    uniforms = [philox_generator(s) for s in seeds]
+    for g in uniforms:  # the uniforms follow all the normals in the stream
+        for c in sizes:
+            g.standard_normal((c, 8))
+    scale = tuning.to_array()
+    for c in sizes:
+        steps = np.empty((c, len(seeds), 8))
+        log_u = np.empty((c, len(seeds)))
+        for b, (gn, gu) in enumerate(zip(normals, uniforms)):
+            steps[:, b] = gn.standard_normal((c, 8))
+            log_u[:, b] = np.log(gu.random(c))
+        steps *= scale
+        yield steps, log_u
+
+
+def run_lockstep(kind: LikelihoodKind, t: np.ndarray, y: np.ndarray,
+                 spec: PriorSpec, starting: ParamVector, tuning: TuningSpec,
+                 config: ChainConfig, seeds):
+    """Run one chain per row of ``t`` and ``y``, all advancing together.
+
+    Row ``b`` gives bit for bit the chain of :func:`run_chain` on the series
+    ``(t[b], y[b])`` with ``config.seed = seeds[b]``.
+
+    Parameters
+    ----------
+    t, y : (B, m) float64 arrays
+        Days and values, one non-empty series per row.
+    seeds : sequence of B ints
+
+    Returns
+    -------
+    samples : (B, M, 8) array
+        Each chain's retained draws, as ``Chain.samples``.
+    acc_overall, acc_last_batch : (B,) arrays
+        Each chain's acceptance fractions.
+
+    Raises
+    ------
+    ValueError
+        If the starting vector is outside the prior support.
+    """
+    flat = _FlatPrior(spec)
+    start = starting.to_array()
+    if not flat.in_support(*start.tolist()):
+        raise ValueError(
+            "starting values must lie strictly inside the prior support"
+        )
+    loglik = loglik_fn(kind, t, y)
+    n_chains = len(seeds)
+    theta = np.tile(start, (n_chains, 1))
+    z = np.full(n_chains, math.log(start[7]))
+    lp = flat.log_prior(*start.tolist()) + loglik(theta.T[:, :, None],
+                                                  theta[:, 7])
+
+    n = config.n_samples
+    retain, m = _retained(config)
+    out = np.empty((n_chains, m, 8), dtype=np.float64)
+    ptr = 0
+
+    batch_from = n - config.batch_len
+    n_acc = np.zeros(n_chains, dtype=np.int64)
+    n_acc_batch = np.zeros(n_chains, dtype=np.int64)
+    i = 0
+    # a row whose target is -inf before and after the step gives -inf - -inf:
+    # NaN, which rejects, as in run_chain
+    with np.errstate(invalid="ignore"):
+        for steps, log_u in _predraw_chunks(seeds, tuning, n):
+            for step, lu in zip(steps, log_u):
+                prop = theta + step
+                zp = z + step[:, 7]
+                # math.exp per row, as in run_chain (np.exp can differ in
+                # the last bit)
+                prop[:, 7] = list(map(math.exp, zp.tolist()))
+                lpp = flat.log_prior(*prop.T)
+                # where the prior is -inf, run_chain skips the likelihood:
+                # evaluate the current state there instead, which is always
+                # inside the support
+                at = np.where((lpp != -math.inf)[:, None], prop, theta)
+                lpp += loglik(at.T[:, :, None], at[:, 7])
+                acc = lu < lpp - lp + (zp - z)
+                theta = np.where(acc[:, None], prop, theta)
+                z = np.where(acc, zp, z)
+                lp = np.where(acc, lpp, lp)
+                n_acc += acc
+                if i >= batch_from:
+                    n_acc_batch += acc
+                i += 1
+                if retain[i]:
+                    out[:, ptr] = theta
+                    ptr += 1
+
+    return out, n_acc / n, n_acc_batch / config.batch_len
 
 
 def write_chain_csv(chain: Chain, path) -> None:

@@ -1,5 +1,6 @@
 """Tests for the raster-brick module: format, ingestion, parallel fitting."""
 
+import multiprocessing
 import os
 from dataclasses import replace
 
@@ -28,7 +29,10 @@ from lspfit import (
     summarize_brick,
     write_brick,
 )
-from lspfit.brick import grid_to_brick, write_grid_csv
+import lspfit.brick
+from lspfit import ObservationSeries
+from lspfit.brick import LOCKSTEP_MIN, grid_to_brick, write_grid_csv
+from lspfit.sampler import PREDRAW_CHUNK
 
 BETA = LikelihoodKind.beta()
 
@@ -451,6 +455,104 @@ class TestFitBrick:
                       PHENO_TUNING, cfg)
         assert r.fitted_mask()[0, 0]
         assert r.skipped == ()
+
+
+def lockstep_brick() -> Brick:
+    """A 4x5 brick over DOYS with one count group of LOCKSTEP_MIN + 2 pixels
+    with every day, one of LOCKSTEP_MIN + 1 pixels with 15 days that differ
+    from pixel to pixel, one of LOCKSTEP_MIN - 1 pixels with 9 days, and
+    single pixels with 10 to 22 days. Pixel (0, 1) has a value of exactly
+    1.0 and pixel (0, 2) one of 1.2."""
+    rng = np.random.default_rng(41)
+    vals = np.array(synthetic_brick(4, 5, DOYS, seed=41).values)
+    sizes = [LOCKSTEP_MIN + 2, LOCKSTEP_MIN + 1, LOCKSTEP_MIN - 1]
+    counts = [23] * sizes[0] + [15] * sizes[1] + [9] * sizes[2]
+    counts += [10, 12, 14, 16, 18, 20, 21, 22][:20 - len(counts)]
+    assert len(counts) == 20
+    for i, k in enumerate(counts):
+        r, c = divmod(i, 5)
+        drop = rng.choice(len(DOYS), len(DOYS) - k, replace=False)
+        vals[r, c, drop] = np.nan
+    vals[0, 1, 3] = 1.0
+    vals[0, 2, 4] = 1.2
+    return Brick(vals, DOYS)
+
+
+class TestLockstep:
+    # rows whose log-target is -inf before and after a step reject quietly
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind", [
+        LikelihoodKind.normal(), LikelihoodKind.truncated_normal(0.0, 1.0),
+        BETA], ids=lambda k: k.kind)
+    def test_every_pixel_equals_run_chain(self, spec, kind, monkeypatch):
+        brick = lockstep_brick()
+        n = PREDRAW_CHUNK + 37  # crosses a pre-draw chunk boundary
+        cfg = ChainConfig(n, sub_start=n // 2, sub_thin=3, seed=17,
+                          batch_len=50)
+        lockstep_calls = []
+
+        def counted(*args):  # counts lockstep calls that return
+            out = run_lockstep(*args)
+            lockstep_calls.append(len(args[-1]))
+            return out
+        run_lockstep = lspfit.brick.run_lockstep
+        monkeypatch.setattr(lspfit.brick, "run_lockstep", counted)
+        results = [fit_brick(brick, kind, spec, standard_starting(),
+                             PHENO_TUNING, cfg, workers=w) for w in (1, 2)]
+        # the two groups at or above the crossover ran in lockstep, with no
+        # fallback to run_chain
+        assert sorted(lockstep_calls) == [LOCKSTEP_MIN + 1, LOCKSTEP_MIN + 2]
+
+        for row in range(brick.rows):
+            for col in range(brick.cols):
+                keep = np.isfinite(brick.values[row, col])
+                series = ObservationSeries(
+                    brick.doys[keep],
+                    brick.values[row, col, keep].astype(np.float64))
+                direct = run_chain(kind, series, spec, standard_starting(),
+                                   PHENO_TUNING,
+                                   replace(cfg, seed=pixel_seed(
+                                       cfg.seed, row, col, brick.cols)))
+                for r in results:
+                    assert np.array_equal(r.samples[row, col], direct.samples)
+                    assert r.acceptance[row, col, 0] == direct.acc_overall
+                    assert r.acceptance[row, col, 1] == direct.acc_last_batch
+        for r in results:
+            assert r.skipped == ()
+        if kind.kind != "normal":  # the data the model cannot produce
+            assert results[0].acceptance[0, 2, 0] == 0.0
+        if kind is BETA:
+            assert results[0].acceptance[0, 1, 0] == 0.0
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched block function reaches pool "
+                               "workers only through fork")
+    def test_dead_worker_is_logged_not_raised(self, spec, fit_inputs,
+                                              monkeypatch):
+        brick, cfg = fit_inputs
+        vals = np.array(synthetic_brick(2, LOCKSTEP_MIN, DOYS, seed=3).values)
+        vals[1, :, 0] = np.nan  # two count groups: two blocks
+        brick = Brick(vals, DOYS)
+        kw = dict(kind=BETA, spec=spec, starting=standard_starting(),
+                  tuning=PHENO_TUNING, config=cfg)
+        serial = fit_brick(brick, **kw)
+        fit_block = lspfit.brick._fit_block
+
+        def dying(task, ctx):
+            if (0, 0) in task[0]:
+                os._exit(1)
+            return fit_block(task, ctx)
+        monkeypatch.setattr(lspfit.brick, "_fit_block", dying)
+        r = fit_brick(brick, workers=2, **kw)
+
+        skipped = {(s[0], s[1]): s[2] for s in r.skipped}
+        assert {(0, c) for c in range(LOCKSTEP_MIN)} <= set(skipped)
+        assert all("BrokenProcessPool" in why for why in skipped.values())
+        fitted = r.fitted_mask()
+        assert set(zip(*np.nonzero(~fitted))) == set(skipped)
+        assert np.array_equal(np.asarray(r.samples)[fitted],
+                              np.asarray(serial.samples)[fitted])
+        assert np.array_equal(r.acceptance[fitted], serial.acceptance[fitted])
 
 
 @pytest.fixture(scope="module")

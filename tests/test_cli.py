@@ -174,6 +174,35 @@ class TestConfigAndMeta:
         assert meta["config"]["likelihood"] == "normal"
         assert meta["seed"] == 9
 
+    @pytest.mark.parametrize("line, key", [("n-sampels = 5", "n-sampels"),
+                                           ("panels = 10", "panels"),
+                                           ("prior_alpha1 = 0,1", None)])
+    def test_unknown_config_key_exits_2(self, tmp_path, workdir, capsys,
+                                        line, key):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"seed = 3\n{line}\n")
+        rc = run_cli(["fit-brick", "--config", cfg, "--input",
+                      workdir / "sim.csv", "--out", tmp_path / "o",
+                      "--ig", "2,0.001", "--n-samples", "100",
+                      "--sub-start", "51", "--min-obs", "5"])
+        err = capsys.readouterr().err
+        if key is None:  # a keyed prefix of fit-brick is a known key
+            assert rc == 0
+            return
+        assert rc == 2
+        assert f"{cfg}:2: unknown config key {key!r}" in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_config_key_of_another_command_exits_2(self, tmp_path, workdir,
+                                                   capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("workers = 2\n")  # a fit-brick option, not a fit one
+        rc = run_cli(["fit", "--config", cfg, "--input", workdir / "sim.csv",
+                      "--out", tmp_path / "fc", "--ig", "2,0.001",
+                      "--n-samples", "100"])
+        assert rc == 2
+        assert "unknown config key 'workers'" in capsys.readouterr().err
+
     def test_fit_meta_fields(self, workdir):
         meta = json.loads((workdir / "fit_meta.json").read_text())
         assert meta["command"] == "fit"
@@ -453,6 +482,23 @@ class TestFitBrick:
         assert rc == 2
         err = capsys.readouterr().err
         assert "sd needs at least 2 retained draws" in err
+        assert "fitting brick" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("names, message", [
+        (["--functionals", "alpha4,verdancy", "--statistics", "median"],
+         "unknown functional 'verdancy'"),
+        (["--functionals", "alpha4", "--statistics", "median,mode"],
+         "unknown statistic 'mode'"),
+    ])
+    def test_unknown_summary_name_exits_2_before_fitting(
+            self, sim_brick, tmp_path, capsys, names, message):
+        rc = run_cli(["fit-brick", "--input", sim_brick, "--out", tmp_path / "o",
+                      "--ig", "2,0.001", "--n-samples", "100",
+                      "--sub-start", "51", "--min-obs", "5", *names])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err
         assert "fitting brick" not in err
         assert list(tmp_path.iterdir()) == []
 

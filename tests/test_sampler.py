@@ -155,6 +155,41 @@ class TestRunChain:
                       ChainConfig(2000, sub_start=1001, seed=34))
         assert not np.array_equal(a.samples, c.samples)
 
+    @pytest.mark.parametrize("kind", [
+        NORMAL, LikelihoodKind.truncated_normal(0.0, 1.0), BETA],
+        ids=lambda k: k.kind)
+    def test_matches_contract_reference_loop(self, beta_series, spec, kind):
+        # The determinism contract drawn as two whole blocks, one iteration
+        # at a time through the public log_posterior; run_chain takes the
+        # same stream in chunks, so the length crosses a chunk boundary.
+        from lspfit.sampler import PREDRAW_CHUNK
+        n, seed = PREDRAW_CHUNK + 37, 2**63 + 5
+        cfg = ChainConfig(n, sub_start=n // 2, sub_thin=3, seed=seed,
+                          batch_len=50)
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        steps = rng.standard_normal((n, 8)) * PHENO_TUNING.to_array()
+        log_u = np.log(rng.random(n))
+        theta = standard_starting().to_array()
+        z = math.log(theta[7])
+        lp = log_posterior(kind, beta_series, spec, standard_starting())
+        kept, accepted = [], []
+        for i in range(n):
+            prop = theta + steps[i]
+            zp = z + steps[i, 7]
+            prop[7] = math.exp(zp)
+            lpp = log_posterior(kind, beta_series, spec,
+                                ParamVector.from_array(prop))
+            accepted.append(log_u[i] < lpp - lp + (zp - z))
+            if accepted[-1]:
+                theta, z, lp = prop, zp, lpp
+            kept.append(theta)
+        ch = run_chain(kind, beta_series, spec, standard_starting(),
+                       PHENO_TUNING, cfg)
+        assert np.array_equal(ch.samples,
+                              np.array(kept)[subsample_indices(cfg) - 1])
+        assert ch.acc_overall == sum(accepted) / n
+        assert ch.acc_last_batch == sum(accepted[-50:]) / 50
+
     def test_support_closure(self, beta_series, spec):
         cfg = ChainConfig(3000, sub_start=1, seed=2)
         ch = run_chain(BETA, beta_series, spec, standard_starting(),
