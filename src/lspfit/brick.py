@@ -26,6 +26,7 @@ The on-disk `LSPB` format is fixed bit-exactly:
 
 from __future__ import annotations
 
+import logging
 import math
 import os
 import struct
@@ -42,10 +43,10 @@ from .likelihood import LikelihoodKind, ObservationSeries
 from .prior import ParamVector, PriorSpec, _FlatPrior
 from .posterior import (
     FUNCTIONALS,
+    STATISTICS,
     QuadratureConfig,
     functional_samples,
-    sample_mean,
-    sample_sd,
+    sample_statistics,
 )
 from .sampler import (_MASK64, Chain, ChainConfig, TuningSpec, run_chain,
                       run_lockstep, subsample_indices)
@@ -64,11 +65,11 @@ __all__ = [
     "STATISTICS",
 ]
 
+_log = logging.getLogger("lspfit.brick")
+
 _MAGIC = b"LSPB"
 _VERSION = 1
 _GAMMA = 0x9E3779B97F4A7C15
-
-STATISTICS = ("mean", "sd", "median", "q025", "q975", "width95")
 
 # Most pixels one lockstep block holds. A Beta block on 23 days cost, per
 # pixel and iteration, 5.6 us at 32 pixels, 3.5 at 128, 3.2 at 256, 3.0 at
@@ -244,6 +245,47 @@ def _lattice_positions(coords, axis: str):
     return {float(c): int(p) for c, p in zip(u, pos)}, count, base
 
 
+def _csv_records(reader, n_fields: int, doy_i: int, year_i: int | None):
+    """Yield ``(line, row, doy, year)`` for each non-empty data row of a
+    long observation CSV read by ``reader`` (a ``csv.reader`` past the
+    header): its line number, its fields, its day of year and its year
+    (None when ``year_i`` is None).
+
+    Both :func:`ingest_long_csv` and ``lspfit fit`` read rows through here,
+    so they reject the same rows with the same messages: a row without
+    ``n_fields`` fields, an unparseable doy or year, or a doy outside
+    [1, 366] raises ``ValueError("malformed row at line N: ...")``.
+    """
+    for row in reader:
+        if not row:
+            continue
+        line = reader.line_num
+        if len(row) != n_fields:
+            raise ValueError(
+                f"malformed row at line {line}: expected {n_fields} fields, "
+                f"got {len(row)}"
+            )
+        try:
+            doy = float(row[doy_i])
+        except ValueError:
+            raise ValueError(
+                f"malformed row at line {line}: unparseable doy field"
+            ) from None
+        if not _in_doy_range(doy):
+            raise ValueError(
+                f"malformed row at line {line}: doy must be in [1, 366]"
+            )
+        year = None
+        if year_i is not None:
+            try:
+                year = int(row[year_i])
+            except ValueError:
+                raise ValueError(
+                    f"malformed row at line {line}: unparseable year field"
+                ) from None
+        yield line, row, doy, year
+
+
 def ingest_long_csv(path, *, value_col="evi", x_col="x", y_col="y",
                     doy_col="doy", year_col="year", mode="pooled",
                     clamp_eps: float | None = None):
@@ -305,39 +347,21 @@ def ingest_long_csv(path, *, value_col="evi", x_col="x", y_col="y",
             )
 
         records = []
-        for row in reader:
-            line = reader.line_num
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(
-                    f"malformed row at line {line}: expected "
-                    f"{len(header)} fields, got {len(row)}"
-                )
+        ix, iy = col_idx[x_col], col_idx[y_col]
+        for line, row, doy, year in _csv_records(
+                reader, len(header), col_idx[doy_col], col_idx.get(year_col)):
             try:
-                x = float(row[col_idx[x_col]])
-                y = float(row[col_idx[y_col]])
-                doy = float(row[col_idx[doy_col]])
+                x = float(row[ix])
+                y = float(row[iy])
             except ValueError:
                 raise ValueError(
-                    f"malformed row at line {line}: unparseable "
-                    "x/y/doy field"
+                    f"malformed row at line {line}: unparseable x/y field"
                 ) from None
-            if not (math.isfinite(x) and math.isfinite(y)
-                    and _in_doy_range(doy)):
+            if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError(
-                    f"malformed row at line {line}: doy must be in "
-                    f"[1, 366] and coordinates finite"
+                    f"malformed row at line {line}: coordinates must be "
+                    "finite"
                 )
-            year = None
-            if has_year:
-                try:
-                    year = int(row[col_idx[year_col]])
-                except ValueError:
-                    raise ValueError(
-                        f"malformed row at line {line}: unparseable "
-                        "year field"
-                    ) from None
             try:
                 v = float(row[col_idx[value_col]])
             except ValueError:
@@ -453,8 +477,10 @@ def _fit_block(task, ctx):
                 kind, t, y, spec, starting, tuning, config, seeds)
             return [(r, c, samples[i], acc[i], acc_batch[i], None)
                     for i, (r, c) in enumerate(cells)]
-        except Exception:
-            pass  # refit pixel by pixel below, logging each pixel's own error
+        except Exception as exc:  # refit pixel by pixel below
+            _log.warning("lockstep failed on a block of %d pixels (%s: %s); "
+                         "refitting them pixel by pixel", len(cells),
+                         type(exc).__name__, exc)
     return [_fit_pixel(r, c, t[i], y[i], seeds[i], ctx)
             for i, (r, c) in enumerate(cells)]
 
@@ -639,42 +665,40 @@ def _check_summary_names(functionals, statistics) -> None:
             )
 
 
-def summarize_brick(result: BrickFitResult, functional: str, statistic: str,
-                    q: QuadratureConfig | None = None) -> np.ndarray:
-    """Grid of one posterior statistic of one derived functional.
+def summarize_brick(result: BrickFitResult, functional: str, statistic,
+                    q: QuadratureConfig | None = None):
+    """Grids of posterior statistics of one derived functional.
 
     ``functional`` is any name accepted by
     :func:`lspfit.posterior.functional_samples`; ``statistic`` is one of
     mean, sd (n-1 denominator), median, q025, q975, or width95
-    (q975 - q025). Unfitted pixels are NaN.
+    (q975 - q025), which gives one grid, or a sequence of them, which gives
+    a dict mapping each to its grid. The fitted pixels are taken in chunks
+    of at most ``BLOCK_CAP``: the functional is evaluated once on all of a
+    chunk's draws and every statistic is reduced from that, as
+    :func:`lspfit.posterior.sample_statistics` does for one pixel, so each
+    value equals ``summarize`` on that pixel's draws bit for bit. Memory
+    stays bounded by a chunk when ``result.samples`` is a memmap. Unfitted
+    pixels are NaN.
 
     Raises
     ------
     ValueError
         Unknown functional or statistic name.
     """
-    _check_summary_names((functional,), (statistic,))
-    grid = np.full((result.rows, result.cols), np.nan, dtype=np.float64)
-    fitted = result.fitted_mask()
-    for r in range(result.rows):
-        for c in range(result.cols):
-            if not fitted[r, c]:
-                continue
-            vec = functional_samples(result.chain_at(r, c), functional, q)
-            if statistic == "mean":
-                grid[r, c] = sample_mean(vec)
-            elif statistic == "sd":
-                grid[r, c] = sample_sd(vec, sample_mean(vec))
-            elif statistic == "median":
-                grid[r, c] = np.quantile(vec, 0.5)
-            elif statistic == "q025":
-                grid[r, c] = np.quantile(vec, 0.025)
-            elif statistic == "q975":
-                grid[r, c] = np.quantile(vec, 0.975)
-            else:
-                lo, hi = np.quantile(vec, [0.025, 0.975])
-                grid[r, c] = hi - lo
-    return grid
+    names = (statistic,) if isinstance(statistic, str) else tuple(statistic)
+    _check_summary_names((functional,), names)
+    grids = {st: np.full((result.rows, result.cols), np.nan, dtype=np.float64)
+             for st in names}
+    rows, cols = np.nonzero(result.fitted_mask())
+    for lo in range(0, rows.size, BLOCK_CAP):
+        r, c = rows[lo:lo + BLOCK_CAP], cols[lo:lo + BLOCK_CAP]
+        draws = np.asarray(result.samples[r, c])  # (P, M, 8)
+        flat = Chain(draws.reshape(-1, 8))
+        v = functional_samples(flat, functional, q).reshape(draws.shape[:2])
+        for st, values in sample_statistics(v, names).items():
+            grids[st][r, c] = values
+    return grids[statistic] if isinstance(statistic, str) else grids
 
 
 def write_grid_csv(grid: np.ndarray, path,

@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .brick import (Brick, _check_summary_names, fit_brick,
+from .brick import (Brick, _check_summary_names, _csv_records, fit_brick,
                     grid_to_brick, ingest_long_csv, pixel_seed, read_brick,
                     summarize_brick, write_brick, write_grid_csv)
 from .curve import CurveParams, IndexBounds
@@ -482,14 +482,12 @@ def cmd_simulate(opt: _Options) -> int:
 
 
 def _load_series(opt: _Options, bounds: IndexBounds) -> ObservationSeries:
-    import csv as _csv
-
     path = _require(opt, "input", "--input")
     pixel_sel = opt.get("pixel", None)
     year_sel = opt.get("year", None, int)
     value_col = opt.get("value_col", "evi")
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = _csv.reader(fh)
+        reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
@@ -501,21 +499,19 @@ def _load_series(opt: _Options, bounds: IndexBounds) -> ObservationSeries:
                 f"missing required column(s) {sorted(missing)} in {header}"
             )
         idx = {name: header.index(name) for name in header}
+        if pixel_sel is not None and "pixel" not in idx:
+            raise ValueError("--pixel given but no pixel column")
+        if year_sel is not None and "year" not in idx:
+            raise ValueError("--year given but no year column")
         doys, values, coords = [], [], set()
         n_missing = 0
-        for row in reader:
-            if not row:
+        for _, row, doy, year in _csv_records(reader, len(header), idx["doy"],
+                                              idx.get("year")):
+            if (pixel_sel is not None
+                    and row[idx["pixel"]].strip() != str(pixel_sel)):
                 continue
-            if pixel_sel is not None:
-                if "pixel" not in idx:
-                    raise ValueError("--pixel given but no pixel column")
-                if row[idx["pixel"]].strip() != str(pixel_sel):
-                    continue
-            if year_sel is not None:
-                if "year" not in idx:
-                    raise ValueError("--year given but no year column")
-                if int(row[idx["year"]]) != year_sel:
-                    continue
+            if year_sel is not None and year != year_sel:
+                continue
             if "x" in idx and "y" in idx:
                 coords.add((row[idx["x"]], row[idx["y"]]))
             try:
@@ -525,7 +521,7 @@ def _load_series(opt: _Options, bounds: IndexBounds) -> ObservationSeries:
             if not math.isfinite(v):
                 n_missing += 1
                 continue
-            doys.append(float(row[idx["doy"]]))
+            doys.append(doy)
             values.append(v)
     if len(coords) > 1 and pixel_sel is None:
         raise ValueError(
@@ -637,8 +633,8 @@ def cmd_fit_brick(opt: _Options) -> int:
         _progress(f"fitted {n_fit} pixel(s), skipped {len(result.skipped)}")
 
         for fn in functionals:
-            for st in statistics:
-                grid = summarize_brick(result, fn, st, quad)
+            grids = summarize_brick(result, fn, statistics, quad)
+            for st, grid in grids.items():
                 gpath = f"{prefix}_{fn}_{st}.csv"
                 write_grid_csv(grid, gpath, result.georef)
                 if lspb_grids:

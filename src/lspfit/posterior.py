@@ -30,6 +30,8 @@ __all__ = [
     "PosteriorSummary",
     "QuadratureConfig",
     "summarize",
+    "sample_statistics",
+    "STATISTICS",
     "fitted_samples",
     "predictive_samples",
     "season_length_samples",
@@ -48,6 +50,8 @@ SUMMARY_CSV_HEADER = "quantity,mean,sd,median,q025,q975"
 FUNCTIONALS = ("alpha1", "alpha2", "alpha3", "alpha4", "alpha5", "alpha6",
                "alpha7", "sigma2", "season_length", "curve_max", "auc",
                "delta")
+
+STATISTICS = ("mean", "sd", "median", "q025", "q975", "width95")
 
 
 @dataclass(frozen=True)
@@ -76,26 +80,49 @@ class QuadratureConfig:
             )
 
 
+# math.fsum is correctly rounded whatever it reads, and reads a list about
+# twice as fast as an array, hence the .tolist() calls below.
 def sample_mean(x: np.ndarray) -> float:
     """Compensated two-pass mean, so constant input has zero deviations."""
-    m = math.fsum(x) / x.size
-    return m + math.fsum(x - m) / x.size
+    m = math.fsum(x.tolist()) / x.size
+    return m + math.fsum((x - m).tolist()) / x.size
 
 
 def sample_sd(x: np.ndarray, mean: float) -> float:
     """Standard deviation (n-1 denominator) of >= 2 samples around a mean."""
     if x.size < 2:
         raise ValueError(f"sd needs at least 2 samples, got {x.size}")
-    return math.sqrt(math.fsum((x - mean) ** 2) / (x.size - 1))
+    return math.sqrt(math.fsum(((x - mean) ** 2).tolist()) / (x.size - 1))
+
+
+def sample_statistics(v, statistics) -> dict:
+    """Named statistics of the draws along the last axis of ``v``.
+
+    ``statistics`` names members of :data:`STATISTICS`; each maps to an
+    array of ``v.shape[:-1]``. mean and sd (n-1 denominator) come from
+    :func:`sample_mean` and :func:`sample_sd` row by row; median, q025, q975
+    and width95 (q975 - q025) from one ``np.quantile`` call at the levels
+    0.025, 0.5 and 0.975, by linear interpolation between order statistics
+    (quantile p sits at fractional position (n-1)*p, numpy's default).
+    """
+    v = np.asarray(v, dtype=np.float64)
+    out = {}
+    if {"mean", "sd"} & set(statistics):
+        rows = v.reshape(-1, v.shape[-1])
+        means = [sample_mean(x) for x in rows]
+        out["mean"] = np.reshape(means, v.shape[:-1])
+        if "sd" in statistics:
+            out["sd"] = np.reshape(
+                [sample_sd(x, m) for x, m in zip(rows, means)], v.shape[:-1])
+    if {"median", "q025", "q975", "width95"} & set(statistics):
+        q025, median, q975 = np.quantile(v, [0.025, 0.5, 0.975], axis=-1)
+        out.update(q025=q025, median=median, q975=q975, width95=q975 - q025)
+    return {st: out[st] for st in statistics}
 
 
 def summarize(samples) -> PosteriorSummary:
-    """Empirical summary of a sample vector.
-
-    Mean; standard deviation with the n-1 denominator; 0.025/0.5/0.975
-    quantiles by linear interpolation between order statistics (the
-    convention where quantile p sits at fractional order-statistic position
-    (n-1)*p, numpy's default).
+    """Empirical summary of a sample vector: mean, sd, median, q025 and
+    q975 as :func:`sample_statistics` computes them.
 
     Raises
     ------
@@ -105,15 +132,8 @@ def summarize(samples) -> PosteriorSummary:
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 1 or x.size < 2:
         raise ValueError("summarize needs a 1-d vector of at least 2 samples")
-    q025, med, q975 = np.quantile(x, [0.025, 0.5, 0.975])
-    mean = sample_mean(x)
-    return PosteriorSummary(
-        mean=mean,
-        sd=sample_sd(x, mean),
-        median=float(med),
-        q025=float(q025),
-        q975=float(q975),
-    )
+    stats = sample_statistics(x, ("mean", "sd", "median", "q025", "q975"))
+    return PosteriorSummary(**{k: float(v) for k, v in stats.items()})
 
 
 def _cols(chain: Chain):

@@ -172,6 +172,7 @@ def test_criterion_03_conjugate_noise_posterior(criterion):
 # criterion 4: frequentist coverage of the 95% intervals
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_04_interval_coverage(criterion):
     cap = 600.0
     desc = ("200 Beta-noise series: 95% interval coverage of alpha1, alpha2, "
@@ -250,6 +251,7 @@ def pixel_panel():
 # criterion 5: normal and Beta fits agree on the transition days
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_05_likelihoods_agree(pixel_panel, criterion):
     cap = 600.0
     desc = ("100 pixels: correlation of posterior-median alpha4 and alpha7 "
@@ -317,6 +319,7 @@ def test_criterion_06_quadrature_accuracy(criterion):
 # criterion 7: stock proposal scales land in the acceptance-rate window
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_07_acceptance_window(pixel_panel, criterion):
     cap = 300.0
     desc = ("tight stock proposal scales: overall acceptance in "

@@ -1,5 +1,6 @@
 """Tests for the raster-brick module: format, ingestion, parallel fitting."""
 
+import logging
 import multiprocessing
 import os
 from dataclasses import replace
@@ -20,6 +21,7 @@ from lspfit import (
     ChainConfig,
     LikelihoodKind,
     fit_brick,
+    functional_samples,
     ingest_long_csv,
     pixel_seed,
     read_brick,
@@ -31,7 +33,9 @@ from lspfit import (
 )
 import lspfit.brick
 from lspfit import ObservationSeries
-from lspfit.brick import LOCKSTEP_MIN, grid_to_brick, write_grid_csv
+from lspfit.brick import (BLOCK_CAP, LOCKSTEP_MIN, STATISTICS, grid_to_brick,
+                          write_grid_csv)
+from lspfit.posterior import FUNCTIONALS
 from lspfit.sampler import PREDRAW_CHUNK
 
 BETA = LikelihoodKind.beta()
@@ -524,6 +528,30 @@ class TestLockstep:
         if kind is BETA:
             assert results[0].acceptance[0, 1, 0] == 0.0
 
+    def test_lockstep_failure_is_logged_and_refit(self, spec, fit_inputs,
+                                                  monkeypatch, caplog):
+        brick, cfg = fit_inputs
+        kw = dict(kind=BETA, spec=spec, starting=standard_starting(),
+                  tuning=PHENO_TUNING, config=cfg, workers=1)
+        normal = fit_brick(brick, **kw)
+
+        def failing(*args):
+            raise FloatingPointError("overflow in exp")
+        monkeypatch.setattr(lspfit.brick, "run_lockstep", failing)
+        with caplog.at_level(logging.WARNING, logger="lspfit.brick"):
+            r = fit_brick(brick, **kw)
+
+        # one block of every pixel: one warning, then the same chains
+        logged = [rec.getMessage() for rec in caplog.records
+                  if rec.name == "lspfit.brick"]
+        assert len(logged) == 1
+        assert "FloatingPointError: overflow in exp" in logged[0]
+        assert f"block of {brick.rows * brick.cols} pixels" in logged[0]
+        assert np.array_equal(np.asarray(r.samples),
+                              np.asarray(normal.samples), equal_nan=True)
+        assert np.array_equal(r.acceptance, normal.acceptance, equal_nan=True)
+        assert r.skipped == ()
+
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the patched block function reaches pool "
                                "workers only through fork")
@@ -562,21 +590,58 @@ def result(spec):
     return fit_brick(brick, BETA, spec, standard_starting(), PHENO_TUNING, cfg)
 
 
-class TestSummarizeBrick:
-    def test_matches_per_pixel_loop(self, result):
-        from lspfit import functional_samples
+@pytest.fixture(scope="module")
+def wide_result(spec):
+    """A memmap-backed fit of more than BLOCK_CAP pixels on short chains,
+    with pixel (0, 0) masked and pixel (0, 1) skipped for too few
+    observations."""
+    side = 17
+    vals = np.array(synthetic_brick(side, side, DOYS, seed=13).values)
+    vals[0, 1, 5:] = np.nan
+    mask = np.ones((side, side), dtype=bool)
+    mask[0, 0] = False
+    cfg = ChainConfig(80, sub_start=41, sub_thin=2, seed=13)
+    r = fit_brick(Brick(vals, DOYS), BETA, spec, standard_starting(),
+                  PHENO_TUNING, cfg, mask=mask, mem_budget_mb=0)
+    assert isinstance(r.samples, np.memmap)
+    fitted = r.fitted_mask()
+    assert not fitted[0, 0] and not fitted[0, 1]
+    assert fitted.sum() > BLOCK_CAP
+    return r
 
-        for functional in ("alpha4", "season_length", "auc"):
-            grids = {st: summarize_brick(result, functional, st)
-                     for st in ("mean", "sd", "median", "q025", "q975",
-                                "width95")}
-            for r in range(2):
-                for c in range(2):
-                    vec = functional_samples(result.chain_at(r, c), functional)
-                    s = summarize(vec)
-                    assert grids["width95"][r, c] == s.q975 - s.q025
-                    for st in ("mean", "sd", "median", "q025", "q975"):
-                        assert grids[st][r, c] == getattr(s, st), st
+
+class TestSummarizeBrick:
+    def test_matches_per_pixel_loop(self, wide_result):
+        fitted = wide_result.fitted_mask()
+        for functional in FUNCTIONALS:
+            grids = {st: summarize_brick(wide_result, functional, st)
+                     for st in STATISTICS}
+            for st, grid in grids.items():
+                assert np.isnan(grid[~fitted]).all(), (functional, st)
+            for r, c in zip(*np.nonzero(fitted)):
+                s = summarize(functional_samples(wide_result.chain_at(r, c),
+                                                 functional))
+                assert grids["width95"][r, c] == s.q975 - s.q025, functional
+                for st in ("mean", "sd", "median", "q025", "q975"):
+                    assert grids[st][r, c] == getattr(s, st), (functional, st)
+
+    def test_sequence_of_statistics(self, wide_result, monkeypatch):
+        calls = []
+
+        def counted(chain, functional, q=None):
+            calls.append(chain.retained_count)
+            return functional_samples(chain, functional, q)
+        monkeypatch.setattr(lspfit.brick, "functional_samples", counted)
+        names = ["width95", "mean", "median"]
+        grids = summarize_brick(wide_result, "auc", names)
+        # the AUC is evaluated once per chunk of at most BLOCK_CAP pixels
+        n_fit = int(wide_result.fitted_mask().sum())
+        m = wide_result.retained_count
+        assert calls == [BLOCK_CAP * m, (n_fit - BLOCK_CAP) * m]
+        assert list(grids) == names
+        for st, grid in grids.items():
+            assert np.array_equal(grid, summarize_brick(wide_result, "auc", st),
+                                  equal_nan=True)
 
     def test_unknown_names(self, result):
         with pytest.raises(ValueError, match="functional"):

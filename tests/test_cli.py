@@ -283,6 +283,26 @@ class TestFit:
         assert rc == 0
         assert (tmp_path / "p3_chain.csv").exists()
 
+    @pytest.mark.parametrize("row, selector, message", [
+        ("0,5,5,terra,2020,60", [], "expected 7 fields, got 6"),
+        ("0,5,5,terra,2020,sixty,0.4", [], "unparseable doy field"),
+        ("0,5,5,terra,2020,400,0.4", [], "doy must be in [1, 366]"),
+        ("0,5,5,terra,twenty,60,0.4", ["--year", "2020"],
+         "unparseable year field"),
+    ], ids=["short-row", "bad-doy", "doy-out-of-range", "bad-year"])
+    def test_malformed_row_exits_2_naming_its_line(self, tmp_path, capsys,
+                                                   row, selector, message):
+        lines = ["pixel,x,y,sat,year,doy,evi",
+                 "0,5,5,terra,2020,20,0.3", "0,5,5,terra,2020,40,0.35", row]
+        (tmp_path / "obs.csv").write_text("\n".join(lines) + "\n")
+        rc = run_cli(["fit", "--input", tmp_path / "obs.csv",
+                      "--out", tmp_path / "f", "--ig", "2,0.001",
+                      "--n-samples", "50", *selector])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"malformed row at line 4: {message}" in err
+        assert not (tmp_path / "f_chain.csv").exists()
+
 
 class TestSummarize:
     def test_stdout_matches_fit_summary_file(self, workdir, capsys):
