@@ -48,8 +48,8 @@ from .posterior import (
     functional_samples,
     sample_statistics,
 )
-from .sampler import (_MASK64, Chain, ChainConfig, TuningSpec, run_chain,
-                      run_lockstep, subsample_indices)
+from .sampler import (_MASK64, Chain, ChainConfig, TuningSpec, _check_start,
+                      run_chain, run_lockstep, subsample_indices)
 
 __all__ = [
     "Brick",
@@ -443,16 +443,10 @@ class BrickFitResult:
                      float(acc[1]))
 
 
-_WORKER_CTX = None
-
-
-def _init_worker(ctx):
-    global _WORKER_CTX
-    _WORKER_CTX = ctx
-
-
-def _fit_block_pooled(task):
-    return _fit_block(task, _WORKER_CTX)
+def _fit_block_pooled(task, ctx):
+    # looks _fit_block up at call time, so a patch made before the pool
+    # forks reaches the workers
+    return _fit_block(task, ctx)
 
 
 def _fit_pixel(r, c, t, y, seed, ctx):
@@ -508,8 +502,7 @@ def _fit_pooled(tasks, ctx, workers):
     with at most ``2 * workers`` blocks in flight. If a worker dies, the
     blocks that finished are kept and every pixel of the others is logged
     as failed."""
-    pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                               initargs=(ctx,))
+    pool = ProcessPoolExecutor(max_workers=workers)
     inflight = {}  # future -> the cells of its block
 
     def results(fut, cells):
@@ -525,7 +518,7 @@ def _fit_pooled(tasks, ctx, workers):
                 for fut in done:
                     yield from results(fut, inflight.pop(fut))
             try:
-                inflight[pool.submit(_fit_block_pooled, task)] = task[0]
+                inflight[pool.submit(_fit_block_pooled, task, ctx)] = task[0]
             except BrokenProcessPool as exc:
                 yield from _unfinished(task[0], exc)
         for fut in list(inflight):
@@ -583,10 +576,7 @@ def fit_brick(brick: Brick, kind: LikelihoodKind, spec: PriorSpec,
                 f"mask must be a boolean ({rows}, {cols}) array, got "
                 f"{mask.dtype} {mask.shape}"
             )
-    if not _FlatPrior(spec).in_support(*starting.to_array().tolist()):
-        raise ValueError(
-            "starting values must lie strictly inside the prior support"
-        )
+    _check_start(_FlatPrior(spec), starting.to_array().tolist())
 
     m = subsample_indices(config).size
     nbytes = rows * cols * m * 8 * 8

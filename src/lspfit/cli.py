@@ -26,18 +26,17 @@ from .brick import (Brick, _check_summary_names, _csv_records, fit_brick,
                     summarize_brick, write_brick, write_grid_csv)
 from .curve import CurveParams, IndexBounds
 from .likelihood import LikelihoodKind, NoiseParam, ObservationSeries, simulate_series
-from .posterior import (FUNCTIONALS, QuadratureConfig, format_summary_csv,
-                        functional_samples, predictive_samples, fitted_samples,
-                        summarize, write_summary_csv)
-from .prior import ParamVector, default_priors, override_priors
+from .posterior import (DERIVED_FUNCTIONALS, QuadratureConfig,
+                        format_summary_csv, functional_samples,
+                        predictive_samples, fitted_samples, summarize,
+                        write_summary_csv)
+from .prior import (FIXED_INTERVAL_PRIORS, PARAM_NAMES, ParamVector,
+                    default_priors, override_priors)
 from .sampler import (ChainConfig, GENERATOR_FAMILY, TuningSpec,
                       philox_generator, read_chain_csv, run_chain,
                       subsample_indices, write_chain_csv)
 
 FORMAT_VERSION = 1
-
-PARAM_KEYS = ("alpha1", "alpha2", "alpha3", "alpha4", "alpha5", "alpha6",
-              "alpha7", "sigma2")
 
 DEFAULT_STARTING = {
     "alpha1": 0.2, "alpha2": 0.5, "alpha3": 0.25, "alpha4": 100.0,
@@ -48,8 +47,6 @@ DEFAULT_TUNING = {
     "alpha1": 0.001, "alpha2": 0.01, "alpha3": 0.01, "alpha4": 0.5,
     "alpha5": 0.0001, "alpha6": 0.01, "alpha7": 1.0, "sigma2": 0.1,
 }
-
-OVERRIDABLE_PRIORS = ("alpha1", "alpha3", "alpha5", "alpha6", "alpha7")
 
 # options whose config-file keys are PREFIX_NAME, read by _Options.keyed
 KEYED_PREFIXES = ("prior", "start", "tune")
@@ -189,7 +186,7 @@ def _add_fit(p: argparse.ArgumentParser) -> None:
                         "required (e.g. 2,0.001)")
     p.add_argument("--prior", action="append", metavar="KEY=LO,HI",
                    help="override a fixed prior interval "
-                        f"({', '.join(OVERRIDABLE_PRIORS)})")
+                        f"({', '.join(FIXED_INTERVAL_PRIORS)})")
     p.add_argument("--alpha4-lower", dest="alpha4_lower", type=float,
                    help="lower bound of the alpha4 interval (default 1; the "
                         "upper bound always tracks alpha7)")
@@ -290,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chain", help="chain CSV from fit")
     p.add_argument("--functionals",
                    help="extra derived functionals to append "
-                        f"(of {', '.join(FUNCTIONALS[8:])})")
+                        f"(of {', '.join(DERIVED_FUNCTIONALS)})")
 
     p = sub.add_parser("derive", help="derived-quantity posteriors from a chain")
     _add_common(p)
@@ -298,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_quad(p)
     p.add_argument("--chain", help="chain CSV from fit")
     p.add_argument("--functionals",
-                   help="comma list of season_length, curve_max, auc, delta, "
+                   help=f"comma list of {', '.join(DERIVED_FUNCTIONALS)}, "
                         "fitted, predictive (default all but the bands)")
     p.add_argument("--at", help="comma list of days for fitted/predictive")
     p.add_argument("--samples", action="store_true", default=None,
@@ -328,7 +325,7 @@ def _prior_spec(opt: _Options, bounds: IndexBounds):
         )
     spec = default_priors(bounds, ig_scale=ig[1])
     spec = override_priors(spec, sigma2_ig=ig)
-    raw = opt.keyed("prior", opt.args.prior, OVERRIDABLE_PRIORS)
+    raw = opt.keyed("prior", opt.args.prior, FIXED_INTERVAL_PRIORS)
     overrides = {k: _parse_pair(v, f"prior {k}") for k, v in raw.items()}
     a4lo = opt.get("alpha4_lower", None)
     if a4lo is not None:
@@ -339,17 +336,17 @@ def _prior_spec(opt: _Options, bounds: IndexBounds):
 
 
 def _starting(opt: _Options) -> ParamVector:
-    raw = opt.keyed("start", opt.args.start, PARAM_KEYS)
+    raw = opt.keyed("start", opt.args.start, PARAM_NAMES)
     vals = dict(DEFAULT_STARTING)
     vals.update({k: float(v) for k, v in raw.items()})
     return ParamVector(
-        CurveParams(*[vals[k] for k in PARAM_KEYS[:7]]),
+        CurveParams(*[vals[k] for k in PARAM_NAMES[:7]]),
         NoiseParam(vals["sigma2"]),
     )
 
 
 def _tuning(opt: _Options) -> TuningSpec:
-    raw = opt.keyed("tune", opt.args.tune, PARAM_KEYS)
+    raw = opt.keyed("tune", opt.args.tune, PARAM_NAMES)
     vals = dict(DEFAULT_TUNING)
     vals.update({k: float(v) for k, v in raw.items()})
     return TuningSpec(**vals)
@@ -468,7 +465,7 @@ def cmd_simulate(opt: _Options) -> int:
         _progress(f"wrote {out}.lspb")
 
     truth = {
-        "curve": {k: getattr(params, k) for k in PARAM_KEYS[:7]},
+        "curve": {k: getattr(params, k) for k in PARAM_NAMES[:7]},
         "sigma2": sigma2,
         "likelihood": kind.kind,
         "doys": doys.tolist(),
@@ -535,7 +532,10 @@ def _load_series(opt: _Options, bounds: IndexBounds) -> ObservationSeries:
     return ObservationSeries(np.array(doys), np.array(values), bounds)
 
 
-def cmd_fit(opt: _Options) -> int:
+def _fit_setup(opt: _Options):
+    """``out, seed, kind, bounds, spec, starting, tuning, config`` of a fit
+    command, resolved in this order, which fixes the error that a run with
+    several bad options reports."""
     out = _require(opt, "out", "--out")
     seed = opt.get("seed", 0, int)
     kind, bounds = _likelihood_kind(opt)
@@ -543,14 +543,23 @@ def cmd_fit(opt: _Options) -> int:
     starting = _starting(opt)
     tuning = _tuning(opt)
     config = _chain_config(opt, seed)
+    return out, seed, kind, bounds, spec, starting, tuning, config
+
+
+def _param_summaries(chain) -> list:
+    """One (name, PosteriorSummary) pair per parameter of the chain."""
+    return [(name, summarize(chain.samples[:, i]))
+            for i, name in enumerate(PARAM_NAMES)]
+
+
+def cmd_fit(opt: _Options) -> int:
+    out, seed, kind, bounds, spec, starting, tuning, config = _fit_setup(opt)
     series = _load_series(opt, bounds)
     _progress(f"fitting {len(series)} observations, "
               f"{config.n_samples} iterations")
     chain = run_chain(kind, series, spec, starting, tuning, config)
     write_chain_csv(chain, f"{out}_chain.csv")
-    entries = [(name, summarize(chain.samples[:, i]))
-               for i, name in enumerate(PARAM_KEYS)]
-    write_summary_csv(entries, f"{out}_summary.csv")
+    write_summary_csv(_param_summaries(chain), f"{out}_summary.csv")
     _progress(
         f"acceptance: overall {chain.acc_overall:.4f} "
         f"({100 * chain.acc_overall:.1f}%), last batch "
@@ -576,13 +585,7 @@ def _load_mask(path, rows, cols) -> np.ndarray:
 
 
 def cmd_fit_brick(opt: _Options) -> int:
-    out = _require(opt, "out", "--out")
-    seed = opt.get("seed", 0, int)
-    kind, bounds = _likelihood_kind(opt)
-    spec = _prior_spec(opt, bounds)
-    starting = _starting(opt)
-    tuning = _tuning(opt)
-    config = _chain_config(opt, seed)
+    out, seed, kind, _, spec, starting, tuning, config = _fit_setup(opt)
     quad = _quad_config(opt)
     workers = opt.get("workers", 1, int)
     min_obs = opt.get("min_obs", 9, int)
@@ -593,8 +596,8 @@ def cmd_fit_brick(opt: _Options) -> int:
         raise ValueError("--pooled and --annual are mutually exclusive")
     clamp = opt.get("clamp_beta_eps", None, float)
     value_col = opt.get("value_col", "evi")
-    functionals = [fn.strip() for fn in
-                   str(opt.get("functionals", ",".join(PARAM_KEYS))).split(",")]
+    functionals = [fn.strip() for fn in str(
+        opt.get("functionals", ",".join(PARAM_NAMES))).split(",")]
     statistics = [st.strip() for st in
                   str(opt.get("statistics", "median,sd")).split(",")]
     _check_summary_names(functionals, statistics)
@@ -668,8 +671,7 @@ def cmd_summarize(opt: _Options) -> int:
     chain = read_chain_csv(path)
     quad = _quad_config(opt)
     extra = opt.get("functionals", None)
-    entries = [(name, summarize(chain.samples[:, i]))
-               for i, name in enumerate(PARAM_KEYS)]
+    entries = _param_summaries(chain)
     if extra:
         for fn in str(extra).split(","):
             fn = fn.strip()
@@ -690,7 +692,7 @@ def cmd_derive(opt: _Options) -> int:
     chain = read_chain_csv(_require(opt, "chain", "--chain"))
     quad = _quad_config(opt)
     want = str(opt.get("functionals",
-                       "season_length,curve_max,auc,delta")).split(",")
+                       ",".join(DERIVED_FUNCTIONALS))).split(",")
     at_days = opt.get("at", None, lambda s: [float(p) for p in s.split(",")])
     save_samples = opt.get("samples", False, _parse_bool)
     kind = None

@@ -334,18 +334,6 @@ def loglik_fn(kind: LikelihoodKind, t, y):
     return _KERNELS[kind.kind].bind(kind, t, y)
 
 
-def series_loglik_fn(kind: LikelihoodKind, series: ObservationSeries):
-    """Build a fast evaluator ``f(alphas, sigma2) -> float`` for one series.
-
-    ``alphas`` is a length-7 array (or sequence) of curve parameters. The
-    returned closure computes the summed log-likelihood of the series with
-    precomputed per-series constants (see :func:`loglik_fn`).
-    """
-    if len(series) == 0:
-        raise ValueError("series must be non-empty")
-    return loglik_fn(kind, series.doys, series.values)
-
-
 def series_log_likelihood(kind: LikelihoodKind, series: ObservationSeries,
                           p: CurveParams, sigma2) -> float:
     """Summed log-density of a series at curve ``p`` and variance ``sigma2``.
@@ -362,7 +350,9 @@ def series_log_likelihood(kind: LikelihoodKind, series: ObservationSeries,
     """
     s2 = _as_sigma2(sigma2)
     _check_rates(p.alpha3, p.alpha6)
-    return series_loglik_fn(kind, series)(p.to_array(), s2)
+    if len(series) == 0:
+        raise ValueError("series must be non-empty")
+    return loglik_fn(kind, series.doys, series.values)(p.to_array(), s2)
 
 
 def _predictive_draws(kind: LikelihoodKind, mu, sigma2,

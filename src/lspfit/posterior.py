@@ -24,6 +24,7 @@ from scipy.special import spence
 
 from .curve import _check_rates, _crossover_raw, _curve_raw
 from .likelihood import LikelihoodKind, _predictive_draws
+from .prior import PARAM_NAMES
 from .sampler import Chain
 
 __all__ = [
@@ -39,6 +40,7 @@ __all__ = [
     "crossover_samples",
     "auc_samples",
     "functional_samples",
+    "DERIVED_FUNCTIONALS",
     "FUNCTIONALS",
     "format_summary_csv",
     "write_summary_csv",
@@ -46,10 +48,6 @@ __all__ = [
 ]
 
 SUMMARY_CSV_HEADER = "quantity,mean,sd,median,q025,q975"
-
-FUNCTIONALS = ("alpha1", "alpha2", "alpha3", "alpha4", "alpha5", "alpha6",
-               "alpha7", "sigma2", "season_length", "curve_max", "auc",
-               "delta")
 
 STATISTICS = ("mean", "sd", "median", "q025", "q975", "width95")
 
@@ -136,12 +134,6 @@ def summarize(samples) -> PosteriorSummary:
     return PosteriorSummary(**{k: float(v) for k, v in stats.items()})
 
 
-def _cols(chain: Chain):
-    s = chain.samples
-    return (s[:, 0], s[:, 1], s[:, 2], s[:, 3], s[:, 4], s[:, 5], s[:, 6],
-            s[:, 7])
-
-
 def _require_nonempty(chain: Chain):
     if chain.retained_count == 0:
         raise ValueError("chain has no retained draws")
@@ -150,7 +142,7 @@ def _require_nonempty(chain: Chain):
 def fitted_samples(chain: Chain, t: float) -> np.ndarray:
     """Posterior of the fitted curve value at day ``t``: one per draw."""
     _require_nonempty(chain)
-    a1, a2, a3, a4, a5, a6, a7 = _cols(chain)[:7]
+    a1, a2, a3, a4, a5, a6, a7 = chain.samples.T[:7]
     return _curve_raw(float(t), a1, a2, a3, a4, a5, a6, a7)
 
 
@@ -229,7 +221,7 @@ def auc_samples(chain: Chain, q: QuadratureConfig | None = None) -> np.ndarray:
     """
     _require_nonempty(chain)
     q = q or QuadratureConfig()
-    a1, a2, a3, a4, a5, a6, a7 = _cols(chain)[:7]
+    a1, a2, a3, a4, a5, a6, a7 = chain.samples.T[:7]
     _check_rates(a3, a6)
     d = np.clip(_crossover_raw(a3, a4, a6, a7), q.t_lo, q.t_hi)
     spring = _branch_integral(a2 - a5 * a4, a5, a3, q.t_lo - a4, d - a4)
@@ -237,12 +229,26 @@ def auc_samples(chain: Chain, q: QuadratureConfig | None = None) -> np.ndarray:
     return a1 * (q.t_hi - q.t_lo) + spring + autumn
 
 
+# The one list of derived functionals: each name maps to the function that
+# gives its draws. The CLI's defaults and help text are built from it.
+DERIVED_FUNCTIONALS = {
+    "season_length": season_length_samples,
+    "curve_max": curve_max_samples,
+    "auc": auc_samples,
+    "delta": crossover_samples,
+}
+
+# Every name functional_samples accepts: the parameters, then the derived.
+FUNCTIONALS = PARAM_NAMES + tuple(DERIVED_FUNCTIONALS)
+
+
 def functional_samples(chain: Chain, functional: str,
                        q: QuadratureConfig | None = None) -> np.ndarray:
     """Sample vector of a named derived functional of the chain.
 
-    ``functional`` is one of ``alpha1``..``alpha7``, ``sigma2``,
-    ``season_length``, ``curve_max``, ``auc``, or ``delta``.
+    ``functional`` is one of :data:`FUNCTIONALS`: a parameter name
+    (``alpha1``..``alpha7``, ``sigma2``) or a key of
+    :data:`DERIVED_FUNCTIONALS`. ``q`` sets the range of ``auc``.
 
     Raises
     ------
@@ -250,21 +256,14 @@ def functional_samples(chain: Chain, functional: str,
         For an unknown functional name.
     """
     _require_nonempty(chain)
-    names = ("alpha1", "alpha2", "alpha3", "alpha4", "alpha5", "alpha6",
-             "alpha7", "sigma2")
-    if functional in names:
-        return chain.samples[:, names.index(functional)].copy()
-    if functional == "season_length":
-        return season_length_samples(chain)
-    if functional == "curve_max":
-        return curve_max_samples(chain)
-    if functional == "delta":
-        return crossover_samples(chain)
-    if functional == "auc":
-        return auc_samples(chain, q)
-    raise ValueError(
-        f"unknown functional {functional!r}; expected one of {FUNCTIONALS}"
-    )
+    if functional in PARAM_NAMES:
+        return chain.samples[:, PARAM_NAMES.index(functional)].copy()
+    fn = DERIVED_FUNCTIONALS.get(functional)
+    if fn is None:
+        raise ValueError(
+            f"unknown functional {functional!r}; expected one of {FUNCTIONALS}"
+        )
+    return fn(chain, q) if fn is auc_samples else fn(chain)
 
 
 def format_summary_csv(entries) -> str:

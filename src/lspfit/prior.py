@@ -34,6 +34,8 @@ from .curve import CurveParams, IndexBounds
 from .likelihood import NoiseParam, _math_log
 
 __all__ = [
+    "PARAM_NAMES",
+    "FIXED_INTERVAL_PRIORS",
     "PriorSpec",
     "ParamVector",
     "default_priors",
@@ -41,6 +43,15 @@ __all__ = [
     "log_prior",
     "override_priors",
 ]
+
+
+# The sampled coordinates, in the order of every length-8 parameter array,
+# chain CSV column and summary row.
+PARAM_NAMES = ("alpha1", "alpha2", "alpha3", "alpha4", "alpha5", "alpha6",
+               "alpha7", "sigma2")
+# The parameters whose Uniform prior interval is fixed, and so stored in a
+# PriorSpec and overridable; alpha2's and alpha4's depend on the state.
+FIXED_INTERVAL_PRIORS = ("alpha1", "alpha3", "alpha5", "alpha6", "alpha7")
 
 
 @dataclass(frozen=True)
@@ -84,7 +95,7 @@ class PriorSpec:
     ig_scale: float
 
     def __post_init__(self):
-        for name in ("alpha1", "alpha3", "alpha5", "alpha6", "alpha7"):
+        for name in FIXED_INTERVAL_PRIORS:
             lo, hi = getattr(self, name)
             if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
                 raise ValueError(
@@ -161,8 +172,8 @@ def override_priors(spec: PriorSpec, *, alpha1=None, alpha3=None, alpha5=None,
         inverse-Gamma hyperparameters.
     """
     kwargs = {}
-    for name, val in (("alpha1", alpha1), ("alpha3", alpha3), ("alpha5", alpha5),
-                      ("alpha6", alpha6), ("alpha7", alpha7)):
+    for name, val in zip(FIXED_INTERVAL_PRIORS,
+                         (alpha1, alpha3, alpha5, alpha6, alpha7)):
         if val is not None:
             lo, hi = (float(val[0]), float(val[1]))
             kwargs[name] = (lo, hi)

@@ -36,9 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .likelihood import (LikelihoodKind, ObservationSeries, loglik_fn,
-                         series_loglik_fn)
-from .prior import ParamVector, PriorSpec, _FlatPrior
+from .likelihood import LikelihoodKind, ObservationSeries, loglik_fn
+from .prior import PARAM_NAMES, ParamVector, PriorSpec, _FlatPrior
 
 __all__ = [
     "TuningSpec",
@@ -56,7 +55,7 @@ __all__ = [
 ]
 
 GENERATOR_FAMILY = "philox4x64"
-CHAIN_CSV_HEADER = "alpha1,alpha2,alpha3,alpha4,alpha5,alpha6,alpha7,sigma2"
+CHAIN_CSV_HEADER = ",".join(PARAM_NAMES)
 
 _MASK64 = (1 << 64) - 1
 
@@ -214,7 +213,17 @@ def log_posterior(kind: LikelihoodKind, series: ObservationSeries,
     lp = _FlatPrior(spec).log_prior(*vals)
     if lp == -math.inf:
         return -math.inf
-    return lp + series_loglik_fn(kind, series)(vals, vals[7])
+    return lp + loglik_fn(kind, series.doys, series.values)(vals, vals[7])
+
+
+def _check_start(flat: _FlatPrior, vals) -> None:
+    """Raise ValueError, naming the values, unless the eight floats ``vals``
+    of a starting vector lie strictly inside the prior support."""
+    if not flat.in_support(*vals):
+        raise ValueError(
+            "starting values must lie strictly inside the prior support: "
+            f"alpha={vals[:7]}, sigma2={vals[7]}"
+        )
 
 
 def run_chain(kind: LikelihoodKind, series: ObservationSeries, spec: PriorSpec,
@@ -252,12 +261,8 @@ def run_chain(kind: LikelihoodKind, series: ObservationSeries, spec: PriorSpec,
     flat = _FlatPrior(spec)
     theta = starting.to_array()
     start_vals = theta.tolist()
-    if not flat.in_support(*start_vals):
-        raise ValueError(
-            "starting values must lie strictly inside the prior support: "
-            f"alpha={start_vals[:7]}, sigma2={start_vals[7]}"
-        )
-    loglik = series_loglik_fn(kind, series)
+    _check_start(flat, start_vals)
+    loglik = loglik_fn(kind, series.doys, series.values)
 
     z = math.log(theta[7])
     lp = flat.log_prior(*start_vals) + loglik(theta, theta[7])
@@ -346,10 +351,7 @@ def run_lockstep(kind: LikelihoodKind, t: np.ndarray, y: np.ndarray,
     """
     flat = _FlatPrior(spec)
     start = starting.to_array()
-    if not flat.in_support(*start.tolist()):
-        raise ValueError(
-            "starting values must lie strictly inside the prior support"
-        )
+    _check_start(flat, start.tolist())
     loglik = loglik_fn(kind, t, y)
     n_chains = len(seeds)
     theta = np.tile(start, (n_chains, 1))

@@ -19,7 +19,10 @@ from helpers import (
 from lspfit import (
     Brick,
     ChainConfig,
+    CurveParams,
     LikelihoodKind,
+    NoiseParam,
+    ParamVector,
     fit_brick,
     functional_samples,
     ingest_long_csv,
@@ -36,7 +39,7 @@ from lspfit import ObservationSeries
 from lspfit.brick import (BLOCK_CAP, LOCKSTEP_MIN, STATISTICS, grid_to_brick,
                           write_grid_csv)
 from lspfit.posterior import FUNCTIONALS
-from lspfit.sampler import PREDRAW_CHUNK
+from lspfit.sampler import PREDRAW_CHUNK, run_lockstep
 
 BETA = LikelihoodKind.beta()
 
@@ -419,6 +422,30 @@ class TestFitBrick:
         with pytest.raises(ValueError, match="mask"):
             fit_brick(brick, BETA, spec, standard_starting(), PHENO_TUNING,
                       cfg, mask=np.ones((3, 2), dtype=bool))
+
+    @pytest.mark.parametrize("caller", ["fit_brick", "run_lockstep",
+                                        "run_chain"])
+    def test_start_outside_support_names_the_values(self, spec, fit_inputs,
+                                                    caller):
+        brick, cfg = fit_inputs
+        bad = ParamVector(CurveParams(0.2, 0.9, 0.25, 100.0, 1e-4, 0.25,
+                                      200.0), NoiseParam(4e-3))
+        t = np.tile(brick.doys, (2, 1))
+        y = brick.values[0, :2].astype(np.float64)
+        calls = {
+            "fit_brick": lambda: fit_brick(brick, BETA, spec, bad,
+                                           PHENO_TUNING, cfg),
+            "run_lockstep": lambda: run_lockstep(BETA, t, y, spec, bad,
+                                                 PHENO_TUNING, cfg, [1, 2]),
+            "run_chain": lambda: run_chain(BETA, ObservationSeries(t[0], y[0]),
+                                           spec, bad, PHENO_TUNING, cfg),
+        }
+        message = ("starting values must lie strictly inside the prior "
+                   "support: alpha=[0.2, 0.9, 0.25, 100.0, 0.0001, 0.25, "
+                   "200.0], sigma2=0.004")
+        with pytest.raises(ValueError) as err:
+            calls[caller]()
+        assert str(err.value) == message
 
     def test_missing_layers_leave_pixel_unchanged(self, spec, fit_inputs):
         brick, cfg = fit_inputs
