@@ -28,10 +28,8 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 import struct
 import tempfile
-import weakref
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
@@ -311,18 +309,22 @@ def ingest_long_csv(path, *, value_col="evi", x_col="x", y_col="y",
     clamp_eps : float, optional
         When set, finished values <= 0 are raised to ``clamp_eps`` and
         values >= 1 lowered to ``1 - clamp_eps`` (for Beta-likelihood
-        fitting of data that touches its bounds). Default: no clamping.
+        fitting of data that touches its bounds); it must lie in
+        (0, 0.5). Default: no clamping.
 
     Raises
     ------
     ValueError
-        empty file, missing required columns, malformed rows (with line
-        number), or off-lattice coordinates.
+        ``clamp_eps`` outside (0, 0.5), empty file, missing required
+        columns, malformed rows (with line number), or off-lattice
+        coordinates.
     """
     import csv
 
     if mode not in ("pooled", "annual"):
         raise ValueError(f"mode must be 'pooled' or 'annual', got {mode!r}")
+    if clamp_eps is not None and not 0.0 < clamp_eps < 0.5:
+        raise ValueError(f"clamp_eps must lie in (0, 0.5), got {clamp_eps}")
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -449,34 +451,40 @@ def _fit_block_pooled(task, ctx):
     return _fit_block(task, ctx)
 
 
-def _fit_pixel(r, c, t, y, seed, ctx):
-    kind, spec, starting, tuning, config = ctx
-    try:
-        chain = run_chain(kind, ObservationSeries(t, y), spec, starting,
-                          tuning, replace(config, seed=seed))
-        return (r, c, chain.samples, chain.acc_overall, chain.acc_last_batch,
-                None)
-    except Exception as exc:
-        return (r, c, None, math.nan, math.nan, f"{type(exc).__name__}: {exc}")
-
-
 def _fit_block(task, ctx):
-    """Fit one block of pixels sharing an observation count; returns one
-    ``(row, col, samples, acc_overall, acc_last_batch, error)`` per pixel."""
+    """Fit one block of pixels sharing an observation count.
+
+    Returns the block record ``(cells, samples, acceptance, errors)``: the
+    block's (row, col) cells, their ``(B, M, 8)`` retained draws, their
+    ``(B, 2)`` overall and last-batch acceptance, and a ``(row, col,
+    reason)`` entry for every pixel whose chain raised. A failed pixel's
+    rows are NaN. If ``run_lockstep`` raises, the block is refitted pixel
+    by pixel with ``run_chain``, so one bad pixel fails alone."""
     cells, t, y, seeds = task
+    kind, spec, starting, tuning, config = ctx
     if len(cells) >= LOCKSTEP_MIN:
-        kind, spec, starting, tuning, config = ctx
         try:
             samples, acc, acc_batch = run_lockstep(
                 kind, t, y, spec, starting, tuning, config, seeds)
-            return [(r, c, samples[i], acc[i], acc_batch[i], None)
-                    for i, (r, c) in enumerate(cells)]
+            return cells, samples, np.stack([acc, acc_batch], axis=1), []
         except Exception as exc:  # refit pixel by pixel below
             _log.warning("lockstep failed on a block of %d pixels (%s: %s); "
                          "refitting them pixel by pixel", len(cells),
                          type(exc).__name__, exc)
-    return [_fit_pixel(r, c, t[i], y[i], seeds[i], ctx)
-            for i, (r, c) in enumerate(cells)]
+    samples = np.full((len(cells), subsample_indices(config).size, 8),
+                      np.nan)
+    acceptance = np.full((len(cells), 2), np.nan)
+    errors = []
+    for i, (r, c) in enumerate(cells):
+        try:
+            chain = run_chain(kind, ObservationSeries(t[i], y[i]), spec,
+                              starting, tuning, replace(config, seed=seeds[i]))
+        except Exception as exc:
+            errors.append((r, c, f"{type(exc).__name__}: {exc}"))
+            continue
+        samples[i] = chain.samples
+        acceptance[i] = chain.acc_overall, chain.acc_last_batch
+    return cells, samples, acceptance, errors
 
 
 def _block_task(brick, finite, cells, base_seed):
@@ -492,37 +500,40 @@ def _block_task(brick, finite, cells, base_seed):
     return cells, t, y, seeds
 
 
-def _unfinished(cells, exc):
-    reason = f"BrokenProcessPool: block not finished: {exc}"
-    return [(r, c, None, math.nan, math.nan, reason) for r, c in cells]
-
-
 def _fit_pooled(tasks, ctx, workers):
-    """Yield the per-pixel results of every block task from a process pool,
-    with at most ``2 * workers`` blocks in flight. If a worker dies, the
-    blocks that finished are kept and every pixel of the others is logged
-    as failed."""
+    """Yield the block record of every block task from a process pool, with
+    at most ``2 * workers`` blocks in flight. If a worker dies, the blocks
+    that finished are kept and every pixel of the others is logged as
+    failed."""
     pool = ProcessPoolExecutor(max_workers=workers)
     inflight = {}  # future -> the cells of its block
+    *_, config = ctx
+    m = subsample_indices(config).size
 
-    def results(fut, cells):
+    def unfinished(cells, exc):
+        reason = f"BrokenProcessPool: block not finished: {exc}"
+        return (cells, np.full((len(cells), m, 8), np.nan),
+                np.full((len(cells), 2), np.nan),
+                [(r, c, reason) for r, c in cells])
+
+    def record(fut, cells):
         try:
             return fut.result()
         except BrokenProcessPool as exc:
-            return _unfinished(cells, exc)
+            return unfinished(cells, exc)
 
     try:
         for task in tasks:
             while len(inflight) >= 2 * workers:
                 done, _ = wait(inflight, return_when=FIRST_COMPLETED)
                 for fut in done:
-                    yield from results(fut, inflight.pop(fut))
+                    yield record(fut, inflight.pop(fut))
             try:
                 inflight[pool.submit(_fit_block_pooled, task, ctx)] = task[0]
             except BrokenProcessPool as exc:
-                yield from _unfinished(task[0], exc)
+                yield unfinished(task[0], exc)
         for fut in list(inflight):
-            yield from results(fut, inflight.pop(fut))
+            yield record(fut, inflight.pop(fut))
     finally:
         pool.shutdown()
 
@@ -552,9 +563,10 @@ def fit_brick(brick: Brick, kind: LikelihoodKind, spec: PriorSpec,
     min_obs : int
         Minimum observation count to attempt a fit (>= 1).
     mem_budget_mb : float
-        When the samples array would exceed this, it is backed by a
-        temporary on-disk memmap (deleted when the result is garbage
-        collected) instead of process memory.
+        When the samples array would exceed this, it is an ``np.memmap`` of
+        an unlinked temporary file instead of process memory. The file has
+        no name, and its space is released together with the array, so
+        nothing is left behind even if the process is killed.
 
     Raises
     ------
@@ -578,67 +590,49 @@ def fit_brick(brick: Brick, kind: LikelihoodKind, spec: PriorSpec,
             )
     _check_start(_FlatPrior(spec), starting.to_array().tolist())
 
-    m = subsample_indices(config).size
-    nbytes = rows * cols * m * 8 * 8
-    if nbytes > mem_budget_mb * 2**20:
-        fd, tmp_path = tempfile.mkstemp(suffix=".lspfit-samples.dat")
-        os.close(fd)
-        samples = np.memmap(tmp_path, dtype=np.float64, mode="w+",
-                            shape=(rows, cols, m, 8))
+    shape = (rows, cols, subsample_indices(config).size, 8)
+    if math.prod(shape) * 8 > mem_budget_mb * 2**20:
+        with tempfile.TemporaryFile() as fh:  # the map keeps its own handle
+            samples = np.memmap(fh, dtype=np.float64, mode="w+", shape=shape)
     else:
-        tmp_path = None
-        samples = np.empty((rows, cols, m, 8), dtype=np.float64)
+        samples = np.empty(shape, dtype=np.float64)
     samples[:] = np.nan
     acceptance = np.full((rows, cols, 2), np.nan, dtype=np.float64)
-    skipped = []
 
     finite = np.isfinite(brick.values)
     n_obs_all = finite.sum(axis=2).astype(np.int32)
     n_obs = np.where(mask, n_obs_all, 0).astype(np.int32)
 
-    groups = {}  # observation count -> requested pixels
-    for r, c in zip(*np.nonzero(mask)):
-        r, c, k = int(r), int(c), int(n_obs_all[r, c])
-        if k < min_obs:
-            skipped.append(
-                (r, c, f"too few observations: {k} < min_obs {min_obs}")
-            )
-            continue
-        groups.setdefault(k, []).append((r, c))
-    # each group cut into near-equal blocks of at most BLOCK_CAP pixels,
-    # largest groups first, so the pool ends on small blocks
-    blocks = [part for cells in sorted(groups.values(), key=len, reverse=True)
-              for part in np.array_split(np.array(cells),
-                                         -(-len(cells) // BLOCK_CAP))]
-    tasks = (_block_task(brick, finite, cells, config.seed)
-             for cells in blocks)
+    cells = np.argwhere(mask)  # row-major
+    counts = n_obs_all[mask]
+    few = counts < min_obs
+    skipped = [(r, c, f"too few observations: {k} < min_obs {min_obs}")
+               for (r, c), k in zip(cells[few].tolist(), counts[few].tolist())]
+    cells, counts = cells[~few], counts[~few]
+    # one group per observation count, each in row-major order, cut into
+    # near-equal blocks of at most BLOCK_CAP pixels, largest groups first,
+    # so the pool ends on small blocks
+    order = np.argsort(counts, kind="stable")
+    _, starts = np.unique(counts[order], return_index=True)
+    groups = np.split(cells[order], starts[1:]) if cells.size else []
+    blocks = [part for group in sorted(groups, key=len, reverse=True)
+              for part in np.array_split(group, -(-len(group) // BLOCK_CAP))]
+    tasks = (_block_task(brick, finite, block, config.seed)
+             for block in blocks)
 
     ctx = (kind, spec, starting, tuning, config)
     if workers == 1 or len(blocks) <= 1:
-        it = (res for task in tasks for res in _fit_block(task, ctx))
+        records = (_fit_block(task, ctx) for task in tasks)
     else:
-        it = _fit_pooled(tasks, ctx, min(workers, len(blocks)))
+        records = _fit_pooled(tasks, ctx, min(workers, len(blocks)))
+    for block_cells, block_samples, block_acceptance, errors in records:
+        at = tuple(np.transpose(block_cells))
+        samples[at] = block_samples
+        acceptance[at] = block_acceptance
+        skipped.extend(errors)
 
-    for r, c, chain_samples, acc, acc_batch, err in it:
-        if err is not None:
-            skipped.append((r, c, err))
-            continue
-        samples[r, c] = chain_samples
-        acceptance[r, c, 0] = acc
-        acceptance[r, c, 1] = acc_batch
-
-    result = BrickFitResult(samples, acceptance, n_obs,
-                            tuple(sorted(skipped)), brick.georef)
-    if tmp_path is not None:
-        weakref.finalize(result, _cleanup_memmap, tmp_path)
-    return result
-
-
-def _cleanup_memmap(path):
-    try:
-        os.unlink(path)
-    except OSError:
-        pass
+    return BrickFitResult(samples, acceptance, n_obs, tuple(sorted(skipped)),
+                          brick.georef)
 
 
 def _check_summary_names(functionals, statistics) -> None:

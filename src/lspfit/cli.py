@@ -573,8 +573,8 @@ def cmd_fit(opt: _Options) -> int:
     return 0
 
 
-def _load_mask(path, rows, cols) -> np.ndarray:
-    mb = read_brick(path)
+def _mask_grid(mb: Brick, rows, cols) -> np.ndarray:
+    """The (rows, cols) fit mask of the single-layer mask brick ``mb``."""
     if (mb.rows, mb.cols) != (rows, cols) or mb.layers != 1:
         raise ValueError(
             f"mask shape ({mb.rows}, {mb.cols}, {mb.layers}) does not match "
@@ -617,12 +617,13 @@ def cmd_fit_brick(opt: _Options) -> int:
                                    clamp_eps=clamp)
         bricks = ingested if annual else {None: ingested}
 
+    mask_path = opt.get("mask", None)
+    mask_brick = None if mask_path is None else read_brick(mask_path)
     for year, brk in bricks.items():
         tag = "" if year is None else f"_y{year}"
         prefix = out + tag
-        mask_path = opt.get("mask", None)
-        mask = (None if mask_path is None
-                else _load_mask(mask_path, brk.rows, brk.cols))
+        mask = (None if mask_brick is None
+                else _mask_grid(mask_brick, brk.rows, brk.cols))
         _progress(
             f"fitting brick{tag or ''}: {brk.rows}x{brk.cols} pixels, "
             f"{brk.layers} layers, workers={workers}"

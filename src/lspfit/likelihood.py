@@ -120,7 +120,9 @@ class ObservationSeries:
     values : array-like of float
         VI observations, finite, same length as ``doys``.
     bounds : IndexBounds
-        The index support (gamma1, gamma2) used by prior construction.
+        The index support (gamma1, gamma2) the series is recorded on. It is
+        metadata only: neither the likelihood nor the prior reads it, and
+        priors take their bounds from ``default_priors(bounds)``.
     """
 
     doys: np.ndarray

@@ -1,8 +1,10 @@
 """Tests for the raster-brick module: format, ingestion, parallel fitting."""
 
 import logging
+import math
 import multiprocessing
 import os
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -328,6 +330,15 @@ class TestIngest:
         assert clamped.values[0, 0, 0] == np.float32(1e-6)
         assert clamped.values[0, 1, 0] == np.float32(1.0 - 1e-6)
 
+    # each would give data a Beta likelihood cannot produce: 0 keeps 0 and 1,
+    # -0.1 gives -0.1 and 1.1, 0.7 swaps the bounds to 0.7 and 0.3
+    @pytest.mark.parametrize("eps", [0.0, -0.1, 0.5, 0.7, math.nan])
+    def test_clamp_eps_outside_open_interval_is_error(self, tmp_path, eps):
+        path = write_csv(tmp_path, ["p,10,40,S2A,2019,50,1.0"])
+        with pytest.raises(ValueError,
+                           match=r"clamp_eps must lie in \(0, 0\.5\)"):
+            ingest_long_csv(path, clamp_eps=eps)
+
     def test_round_trip_through_lspb(self, tmp_path):
         path = write_csv(tmp_path, [
             f"p,{x},{y},S2A,2019,{d},0.{x}{y}"
@@ -460,25 +471,29 @@ class TestFitBrick:
         assert np.array_equal(np.asarray(r0.samples), np.asarray(r1.samples),
                               equal_nan=True)
 
-    def test_memmap_spill_matches_in_memory(self, spec, fit_inputs):
+    def test_memmap_spill_matches_in_memory(self, spec, fit_inputs, tmp_path,
+                                            monkeypatch):
         brick, cfg = fit_inputs
         kw = dict(kind=BETA, spec=spec, starting=standard_starting(),
                   tuning=PHENO_TUNING, config=cfg)
         in_mem = fit_brick(brick, **kw)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         spilled = fit_brick(brick, mem_budget_mb=1e-4, **kw)
         assert isinstance(spilled.samples, np.memmap)
         assert not isinstance(in_mem.samples, np.memmap)
         assert np.array_equal(np.asarray(in_mem.samples),
                               np.asarray(spilled.samples), equal_nan=True)
+        # the spill file is unlinked: nothing is left to clean up, even if
+        # the process is killed while the result is alive
+        assert spilled.samples.filename is None
+        assert list(tmp_path.iterdir()) == []
 
     def test_per_pixel_error_logged_not_raised(self, spec, fit_inputs):
-        # A pixel whose observations sit outside (0, 1) gives the Beta
-        # chain a -inf starting likelihood... values equal to 1.0 are
-        # representable; the starting point is still in support, so fitting
-        # proceeds. Instead make the failure structural: all-NaN rows are
-        # already covered, so use a value of exactly 1.0 with clamp off and
-        # check the fit simply runs (log-density -inf is a rejection, not
-        # an error). The skipped log stays empty.
+        # A value of exactly 1.0 is data the Beta likelihood cannot produce:
+        # the log-target is -inf at the start and at every proposal, which
+        # rejects rather than raises. The pixel keeps its starting vector
+        # with acceptance 0, counts as fitted and is not listed in skipped.
+        # A pixel whose chain raises is test_failing_pixel_is_skipped_alone.
         brick, cfg = fit_inputs
         vals = np.array(brick.values)
         vals[0, 0, 0] = 1.0
@@ -486,6 +501,38 @@ class TestFitBrick:
                       PHENO_TUNING, cfg)
         assert r.fitted_mask()[0, 0]
         assert r.skipped == ()
+        assert r.acceptance[0, 0, 0] == 0.0
+
+    def test_failing_pixel_is_skipped_alone(self, spec, fit_inputs,
+                                            monkeypatch):
+        # lockstep fails on the block, then run_chain raises for one pixel
+        # of the pixel-by-pixel refit
+        brick, cfg = fit_inputs
+        kw = dict(kind=BETA, spec=spec, starting=standard_starting(),
+                  tuning=PHENO_TUNING, config=cfg)
+        normal = fit_brick(brick, **kw)
+        bad_seed = pixel_seed(cfg.seed, 1, 2, brick.cols)
+        chain = lspfit.brick.run_chain
+
+        def failing_lockstep(*args):
+            raise FloatingPointError("overflow in exp")
+
+        def failing_chain(*args):
+            if args[-1].seed == bad_seed:
+                raise ZeroDivisionError("no draws")
+            return chain(*args)
+        monkeypatch.setattr(lspfit.brick, "run_lockstep", failing_lockstep)
+        monkeypatch.setattr(lspfit.brick, "run_chain", failing_chain)
+        r = fit_brick(brick, **kw)
+
+        assert r.skipped == ((1, 2, "ZeroDivisionError: no draws"),)
+        fitted = r.fitted_mask()
+        assert set(zip(*np.nonzero(~fitted))) == {(1, 2)}
+        assert np.all(np.isnan(np.asarray(r.samples)[1, 2]))
+        assert np.all(np.isnan(r.acceptance[1, 2]))
+        assert np.array_equal(np.asarray(r.samples)[fitted],
+                              np.asarray(normal.samples)[fitted])
+        assert np.array_equal(r.acceptance[fitted], normal.acceptance[fitted])
 
 
 def lockstep_brick() -> Brick:

@@ -580,6 +580,49 @@ class TestFitBrick:
             assert grid.shape == (1, 1)
             assert np.isfinite(grid[0, 0])
 
+    def test_annual_mode_reads_mask_once(self, tmp_path, monkeypatch):
+        import lspfit.cli as cli
+
+        lines = ["pixel,x,y,sat,year,doy,evi"]
+        for year in (2019, 2020):
+            for x in (5, 15):
+                for doy in range(20, 340, 25):
+                    value = py_curve_value(float(doy), *CURVE)
+                    lines.append(f"0,{x},5,terra,{year},{doy},{value:.6f}")
+        (tmp_path / "obs.csv").write_text("\n".join(lines) + "\n")
+        write_brick(Brick(values=np.array([[[0.0], [1.0]]], dtype=np.float32),
+                          doys=np.array([1.0])), tmp_path / "m.lspb")
+        reads = []
+
+        def counted(path):
+            reads.append(path)
+            return read_brick(path)
+        monkeypatch.setattr(cli, "read_brick", counted)
+        rc = run_cli(["fit-brick", "--input", tmp_path / "obs.csv", "--annual",
+                      "--mask", tmp_path / "m.lspb", "--out", tmp_path / "a",
+                      "--ig", "2,0.001", "--n-samples", "100",
+                      "--sub-start", "51", "--min-obs", "5",
+                      "--functionals", "alpha4", "--statistics", "median"])
+        assert rc == 0
+        assert reads == [str(tmp_path / "m.lspb")]
+        for year in (2019, 2020):
+            grid = read_grid_csv(tmp_path / f"a_y{year}_alpha4_median.csv")
+            assert np.isnan(grid[0, 0]) and np.isfinite(grid[0, 1])
+
+    @pytest.mark.parametrize("eps", ["0", "-0.1", "0.7"])
+    def test_clamp_eps_outside_open_interval_exits_2_before_fitting(
+            self, tmp_path, capsys, eps):
+        (tmp_path / "obs.csv").write_text(
+            "pixel,x,y,sat,year,doy,evi\n0,5,5,terra,2019,20,1.0\n")
+        rc = run_cli(["fit-brick", "--input", tmp_path / "obs.csv",
+                      "--out", tmp_path / "o", "--ig", "2,0.001",
+                      "--clamp-beta-eps", eps])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "clamp_eps must lie in (0, 0.5)" in err
+        assert "fitting brick" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["obs.csv"]
+
     def test_save_samples_npz(self, sim_brick, tmp_path):
         rc = run_cli(["fit-brick", "--input", sim_brick, "--out", tmp_path / "s",
                       "--ig", "2,0.001", "--n-samples", "200", "--sub-start", "101",

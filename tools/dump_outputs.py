@@ -16,7 +16,12 @@ files name the same ``out``, ``input`` and ``mask`` on both trees; an empty
 * ``simulate/``: ``lspfit simulate --grid 3,3``;
 * ``brick/``: ``lspfit fit-brick --save-samples`` with every functional and
   statistic, for ``--workers`` 1 and 2, on a one-group brick of more than one
-  lockstep block and on a multi-group brick with a mask;
+  lockstep block and on a multi-group brick with a mask, and the one-group
+  brick again with ``--mem-budget-mb 0``, so its samples spill to disk;
+* ``csv/``: a small long CSV with an ``NA``, a duplicate record, day 366 and
+  two years; its ``ingest_long_csv`` bricks (pooled, pooled with
+  ``clamp_eps``, annual) written as LSPB; and ``lspfit fit-brick`` on it,
+  pooled with ``--clamp-beta-eps 1e-6`` and ``--annual`` with a mask;
 * ``fit/``: ``lspfit fit``, the standard output of ``lspfit summarize``,
   ``lspfit derive --samples`` with its default and with every functional;
 * ``help/``: the ``--help`` text of every subcommand at 80 columns.
@@ -37,9 +42,9 @@ os.environ["COLUMNS"] = "80"  # argparse wraps help text to the terminal
 
 from lspfit import (Brick, ChainConfig, CurveParams, IndexBounds,  # noqa: E402
                     LikelihoodKind, NoiseParam, ObservationSeries,
-                    ParamVector, TuningSpec, default_priors, log_posterior,
-                    read_brick, run_chain, series_log_likelihood,
-                    simulate_series, write_brick)
+                    ParamVector, TuningSpec, default_priors,
+                    ingest_long_csv, log_posterior, read_brick, run_chain,
+                    series_log_likelihood, simulate_series, write_brick)
 from lspfit.cli import main  # noqa: E402
 from lspfit.posterior import FUNCTIONALS, STATISTICS  # noqa: E402
 
@@ -132,6 +137,51 @@ def dump_bricks() -> None:
              "--ig", IG, "--workers", str(workers),
              "--mask", "brick/mask.lspb", "--min-obs", "12", "--lspb-grids",
              *SHORT_CHAIN, *everything])
+    run(["fit-brick", "--input", "brick/one.lspb", "--out", "brick/one_spill",
+         "--seed", "17", "--ig", IG, "--mem-budget-mb", "0", *SHORT_CHAIN,
+         *everything])
+
+
+def dump_csv() -> None:
+    """Ingest and fit a long CSV of a 4 x 3 grid made from
+    ``brick/one.lspb``: 2019 takes rows 0-3 and 2020 rows 4-7 of its first
+    three columns, on days 8 to 360; 2020 also has day 366. Pixel (0, 0)
+    has an ``NA``, a 1.0 and a duplicate record, and pixel (0, 1) a value
+    below 0."""
+    os.makedirs("csv")
+    full = read_brick("brick/one.lspb")
+    lines = ["pixel,x,y,sat,year,doy,evi"]
+    for year in (2019, 2020):
+        doys = list(full.doys) + ([366.0] if year == 2020 else [])
+        for r in range(4):
+            for c in range(3):
+                vals = full.values[r + 4 * (year - 2019), c]
+                # day 366 takes day 8's value
+                for doy, v in zip(doys, np.append(vals, vals[0])):
+                    lines.append(f"p{r}{c},{500 + 30 * c},{900 - 30 * r},S2A,"
+                                 f"{year},{doy:g},{v:.6f}")
+    lines[5] = lines[5].rsplit(",", 1)[0] + ",NA"
+    lines[7] = lines[7].rsplit(",", 1)[0] + ",1.0"
+    lines[30] = lines[30].rsplit(",", 1)[0] + ",-0.02"
+    lines.append(lines[9].rsplit(",", 1)[0] + ",0.5")  # duplicate: last wins
+    with open("csv/long.csv", "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+    write_brick(ingest_long_csv("csv/long.csv"), "csv/pooled.lspb")
+    write_brick(ingest_long_csv("csv/long.csv", clamp_eps=1e-6),
+                "csv/pooled_clamped.lspb")
+    for year, brick in ingest_long_csv("csv/long.csv", mode="annual").items():
+        write_brick(brick, f"csv/annual_{year}.lspb")
+    mask = np.ones((4, 3, 1), dtype=np.float32)
+    mask[3, 2, 0] = 0.0
+    write_brick(Brick(mask, np.array([1.0])), "csv/mask.lspb")
+
+    run(["fit-brick", "--input", "csv/long.csv", "--out", "csv/pooled",
+         "--seed", "23", "--ig", IG, "--clamp-beta-eps", "1e-6",
+         *SHORT_CHAIN, "--statistics", "median,sd,q025", "--save-samples"])
+    run(["fit-brick", "--input", "csv/long.csv", "--out", "csv/annual",
+         "--seed", "23", "--ig", IG, "--annual", "--mask", "csv/mask.lspb",
+         "--clamp-beta-eps", "1e-6", *SHORT_CHAIN, "--save-samples"])
 
 
 def dump_fit() -> None:
@@ -174,6 +224,7 @@ def main_dump(outdir: str) -> None:
     dump_chains()
     dump_simulate()
     dump_bricks()
+    dump_csv()
     dump_fit()
 
 
