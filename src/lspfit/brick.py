@@ -26,13 +26,18 @@ The on-disk `LSPB` format is fixed bit-exactly:
 
 from __future__ import annotations
 
+import csv
 import logging
 import math
+import os
+import stat
 import struct
 import tempfile
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
+from itertools import islice, repeat
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -178,56 +183,143 @@ def write_brick(brick: Brick, path) -> None:
 def read_brick(path) -> Brick:
     """Read an LSPB file; the exact inverse of :func:`write_brick`.
 
+    The days and values are read straight into their final arrays.
+
     Raises
     ------
     ValueError
         bad magic bytes, unsupported format version, or a truncated or
         oversized file.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
     head_size = struct.calcsize("<4sHIIIB3d")
-    if len(data) < head_size:
-        raise ValueError(f"truncated file: {len(data)} bytes is too short "
-                         "for an LSPB header")
-    magic, version, rows, cols, layers, flag, gx, gy, gc = struct.unpack(
-        "<4sHIIIB3d", data[:head_size]
-    )
-    if magic != _MAGIC:
-        raise ValueError(f"bad magic bytes {magic!r}; not an LSPB file")
-    if version != _VERSION:
-        raise ValueError(
-            f"unsupported format version {version}; this reader handles "
-            f"version {_VERSION}"
+    with open(path, "rb") as fh:
+        head = fh.read(head_size)
+        if len(head) < head_size:
+            raise ValueError(f"truncated file: {len(head)} bytes is too short "
+                             "for an LSPB header")
+        magic, version, rows, cols, layers, flag, gx, gy, gc = struct.unpack(
+            "<4sHIIIB3d", head
         )
-    expected = head_size + 8 * layers + 4 * rows * cols * layers
-    if len(data) < expected:
-        raise ValueError(
-            f"truncated file: expected {expected} bytes, got {len(data)}"
-        )
-    if len(data) > expected:
-        raise ValueError(
-            f"trailing data: expected {expected} bytes, got {len(data)}"
-        )
-    off = head_size
-    doys = np.frombuffer(data, dtype="<f8", count=layers, offset=off).copy()
-    off += 8 * layers
-    values = np.frombuffer(data, dtype="<f4", count=rows * cols * layers,
-                           offset=off).copy().reshape(rows, cols, layers)
+        if magic != _MAGIC:
+            raise ValueError(f"bad magic bytes {magic!r}; not an LSPB file")
+        if version != _VERSION:
+            raise ValueError(
+                f"unsupported format version {version}; this reader handles "
+                f"version {_VERSION}"
+            )
+        expected = head_size + 8 * layers + 4 * rows * cols * layers
+        # a regular file's size is checked before the arrays are allocated;
+        # a pipe's is counted as it is read
+        st = os.fstat(fh.fileno())
+        size = st.st_size if stat.S_ISREG(st.st_mode) else expected
+        if size == expected:
+            doys = np.empty(layers, dtype="<f8")
+            values = np.empty((rows, cols, layers), dtype="<f4")
+            size = (head_size + fh.readinto(doys) + fh.readinto(values)
+                    + len(fh.read()))
+    if size != expected:
+        kind = "truncated file" if size < expected else "trailing data"
+        raise ValueError(f"{kind}: expected {expected} bytes, got {size}")
     georef = (gx, gy, gc) if flag else None
     return Brick(values, doys, georef)
 
 
-def _lattice_positions(coords, axis: str):
-    """Map sorted unique coordinates onto integer lattice positions.
+# Data rows of a long CSV parsed per chunk; its row lists are the only
+# per-row Python objects held. A pooled ingest of the bench's 0.73 M-row CSV
+# took, median of 7 on a 2-core host, 1.25 s at 256 rows, 1.44 s at 512,
+# 1.85 s at 1 024, 1.72 s at 2 048, 2.4 s at 16 384 and 4.5 s at 65 536
+# (CHANGES.md); a larger chunk keeps more row objects alive at once.
+CSV_CHUNK = 256
 
-    Gaps must be integer multiples of the smallest gap (1e-6 relative
-    tolerance), so missing interior rows/columns are fine but off-lattice
-    points are an error. Returns (positions dict, count, cell or None).
+
+def _parse_column(strings, convert, dtype):
+    """``convert`` applied to every string as a ``dtype`` array, and the
+    mask of strings it fails on (ValueError, or a value that ``dtype`` cannot
+    hold); failed entries hold 0."""
+    n = len(strings)
+    try:
+        return np.fromiter(map(convert, strings), dtype, n), np.zeros(n, bool)
+    except (ValueError, OverflowError):
+        pass
+    out, bad = np.zeros(n, dtype), np.zeros(n, bool)
+    for i, s in enumerate(strings):
+        try:
+            out[i] = convert(s)
+        except (ValueError, OverflowError):
+            bad[i] = True
+    return out, bad
+
+
+def _float_or_nan(s: str) -> float:
+    try:
+        return float(s)
+    except ValueError:
+        return math.nan
+
+
+def _csv_chunks(reader, n_fields: int, doy_i: int, value_i: int,
+                year_i: int | None = None, xy: tuple | None = None):
+    """Yield the non-empty data rows of a long observation CSV read by
+    ``reader`` (a ``csv.reader`` past the header), ``CSV_CHUNK`` rows at a
+    time, as ``(fields, cols)``: ``fields`` holds one tuple of strings per
+    CSV column, and ``cols`` the typed columns ``doy`` (float64), ``value``
+    (float64, NaN where unparseable), ``year`` (int64, when ``year_i`` is
+    given) and ``x`` and ``y`` (float64, when ``xy`` gives their indices).
+
+    Both :func:`ingest_long_csv` and ``lspfit fit`` read rows through here,
+    so they reject the same rows with the same messages. The first bad row
+    in file order raises ``ValueError("malformed row at line N: ...")``,
+    naming the first of these it fails: ``n_fields`` fields, a doy that
+    parses, a doy in [1, 366], a year that parses as an int64, x and y that
+    parse, and finite x and y.
     """
-    u = np.unique(coords)
+    line_num = map(attrgetter("line_num"), repeat(reader))
+    numbered = filter(itemgetter(0), zip(reader, line_num))
+    while chunk := list(islice(numbered, CSV_CHUNK)):
+        rows, lines = zip(*chunk)
+        wrong = np.fromiter(map(len, rows), np.intp, len(rows)) != n_fields
+        n = int(wrong.argmax()) if wrong.any() else len(rows)
+        fields = list(zip(*rows[:n])) if n else [()] * n_fields
+        doy, bad = _parse_column(fields[doy_i], float, np.float64)
+        checks = [(bad, "unparseable doy field"),
+                  (~_in_doy_range(doy), "doy must be in [1, 366]")]
+        cols = {"doy": doy, "value": np.fromiter(
+            map(_float_or_nan, fields[value_i]), np.float64, n)}
+        if year_i is not None:
+            cols["year"], bad = _parse_column(fields[year_i], int, np.int64)
+            checks.append((bad, "unparseable year field"))
+        if xy is not None:
+            (cols["x"], bad_x), (cols["y"], bad_y) = (
+                _parse_column(fields[i], float, np.float64) for i in xy)
+            checks += [
+                (bad_x | bad_y, "unparseable x/y field"),
+                (~(np.isfinite(cols["x"]) & np.isfinite(cols["y"])),
+                 "coordinates must be finite"),
+            ]
+        failed = np.logical_or.reduce([bad for bad, _ in checks])
+        if failed.any():
+            i = int(failed.argmax())
+            message = next(msg for bad, msg in checks if bad[i])
+            raise ValueError(f"malformed row at line {lines[i]}: {message}")
+        if n < len(rows):
+            raise ValueError(
+                f"malformed row at line {lines[n]}: expected {n_fields} "
+                f"fields, got {len(rows[n])}"
+            )
+        yield fields, cols
+
+
+def _lattice_positions(coords, axis: str):
+    """Map coordinates onto integer lattice positions.
+
+    Gaps between the sorted distinct coordinates must be integer multiples
+    of the smallest gap (1e-6 relative tolerance), so missing interior
+    rows/columns are fine but off-lattice points are an error. Returns
+    (position of each coordinate, count, cell or None).
+    """
+    u, inverse = np.unique(coords, return_inverse=True)
     if u.size == 1:
-        return {float(u[0]): 0}, 1, None
+        return inverse, 1, None
     gaps = np.diff(u)
     base = float(gaps.min())
     if base <= 0:
@@ -239,49 +331,33 @@ def _lattice_positions(coords, axis: str):
             f"irregular grid: {axis} coordinates do not lie on a regular "
             f"lattice (seen {u.tolist()[:8]}...)"
         )
-    count = int(pos[-1]) + 1
-    return {float(c): int(p) for c, p in zip(u, pos)}, count, base
+    return pos.astype(np.intp)[inverse], int(pos[-1]) + 1, base
 
 
-def _csv_records(reader, n_fields: int, doy_i: int, year_i: int | None):
-    """Yield ``(line, row, doy, year)`` for each non-empty data row of a
-    long observation CSV read by ``reader`` (a ``csv.reader`` past the
-    header): its line number, its fields, its day of year and its year
-    (None when ``year_i`` is None).
+def _layers(year, doy):
+    """``(layer, layer_year, layer_doy)``: each record's layer, the rank of
+    its (year, doy) pair among the distinct pairs sorted by year, then doy,
+    and the year and doy of each layer."""
+    order = np.lexsort((doy, year))
+    year, doy = year[order], doy[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (year[1:] != year[:-1]) | (doy[1:] != doy[:-1])
+    layer = np.empty(order.size, dtype=np.intp)
+    layer[order] = np.cumsum(first) - 1
+    return layer, year[first], doy[first]
 
-    Both :func:`ingest_long_csv` and ``lspfit fit`` read rows through here,
-    so they reject the same rows with the same messages: a row without
-    ``n_fields`` fields, an unparseable doy or year, or a doy outside
-    [1, 366] raises ``ValueError("malformed row at line N: ...")``.
-    """
-    for row in reader:
-        if not row:
-            continue
-        line = reader.line_num
-        if len(row) != n_fields:
-            raise ValueError(
-                f"malformed row at line {line}: expected {n_fields} fields, "
-                f"got {len(row)}"
-            )
-        try:
-            doy = float(row[doy_i])
-        except ValueError:
-            raise ValueError(
-                f"malformed row at line {line}: unparseable doy field"
-            ) from None
-        if not _in_doy_range(doy):
-            raise ValueError(
-                f"malformed row at line {line}: doy must be in [1, 366]"
-            )
-        year = None
-        if year_i is not None:
-            try:
-                year = int(row[year_i])
-            except ValueError:
-                raise ValueError(
-                    f"malformed row at line {line}: unparseable year field"
-                ) from None
-        yield line, row, doy, year
+
+def _scatter(slot, value, size: int) -> np.ndarray:
+    """A float32 array of ``size`` holding at each slot the value of the last
+    record (in file order) that names it, and NaN where none does. The
+    winning record is chosen by index, so the result does not depend on the
+    order in which numpy writes repeated indices."""
+    last = np.full(size, -1, dtype=np.intp)
+    np.maximum.at(last, slot, np.arange(slot.size))
+    out = np.full(size, np.nan, dtype=np.float32)
+    hit = last >= 0
+    out[hit] = value[last[hit]]
+    return out
 
 
 def ingest_long_csv(path, *, value_col="evi", x_col="x", y_col="y",
@@ -294,8 +370,14 @@ def ingest_long_csv(path, *, value_col="evi", x_col="x", y_col="y",
     come from the regular grid inferred from the distinct x and y values
     (x ascending -> columns, y descending -> rows). Unparseable or ``NA``
     VI values become missing markers, never errors. A structurally broken
-    row (wrong field count, unparseable x/y/doy/year, doy outside [1, 366])
-    is an error naming the line number.
+    row (wrong field count, unparseable x/y/doy/year, a year outside int64,
+    doy outside [1, 366]) is an error naming the line number. When two
+    records name the same cell and layer, the later one in the file wins.
+
+    Rows are read in chunks of ``CSV_CHUNK`` into typed columns (x, y and
+    doy float64, year int64, value float32), so memory holds about 36
+    bytes per record, not a Python object per record, plus the brick and,
+    while it is filled, an index array twice its size.
 
     Parameters
     ----------
@@ -319,8 +401,6 @@ def ingest_long_csv(path, *, value_col="evi", x_col="x", y_col="y",
         columns, malformed rows (with line number), or off-lattice
         coordinates.
     """
-    import csv
-
     if mode not in ("pooled", "annual"):
         raise ValueError(f"mode must be 'pooled' or 'annual', got {mode!r}")
     if clamp_eps is not None and not 0.0 < clamp_eps < 0.5:
@@ -348,59 +428,49 @@ def ingest_long_csv(path, *, value_col="evi", x_col="x", y_col="y",
                 f"{header}"
             )
 
-        records = []
-        ix, iy = col_idx[x_col], col_idx[y_col]
-        for line, row, doy, year in _csv_records(
-                reader, len(header), col_idx[doy_col], col_idx.get(year_col)):
-            try:
-                x = float(row[ix])
-                y = float(row[iy])
-            except ValueError:
-                raise ValueError(
-                    f"malformed row at line {line}: unparseable x/y field"
-                ) from None
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValueError(
-                    f"malformed row at line {line}: coordinates must be "
-                    "finite"
-                )
-            try:
-                v = float(row[col_idx[value_col]])
-            except ValueError:
-                v = math.nan
-            records.append((x, y, year, doy, v))
+        parts = {"x": [], "y": [], "doy": [], "value": [], "year": []}
+        for _, cols in _csv_chunks(reader, len(header), col_idx[doy_col],
+                                   col_idx[value_col], col_idx.get(year_col),
+                                   (col_idx[x_col], col_idx[y_col])):
+            v = cols["value"]
+            if clamp_eps is not None:
+                finite = np.isfinite(v)
+                v[finite & (v <= 0.0)] = clamp_eps
+                v[finite & (v >= 1.0)] = 1.0 - clamp_eps
+            cols["value"] = v.astype(np.float32)
+            for name, col in cols.items():
+                parts[name].append(col)
 
-    if not records:
+    if not parts["doy"]:
         raise ValueError(f"no data rows in {path}")
-
-    xs = np.array([r[0] for r in records])
-    ys = np.array([r[1] for r in records])
-    x_pos, n_cols, cell_x = _lattice_positions(xs, "x")
-    y_pos, n_rows, cell_y = _lattice_positions(ys, "y")
+    # one column at a time, so at most one column is held twice
+    x = np.concatenate(parts.pop("x"))
+    col, n_cols, cell_x = _lattice_positions(x, "x")
+    y = np.concatenate(parts.pop("y"))
+    row, n_rows, cell_y = _lattice_positions(y, "y")
     cell = cell_x if cell_x is not None else cell_y
-    georef = (float(xs.min()), float(ys.max()), cell) if cell is not None else None
+    georef = (float(x.min()), float(y.max()), cell) if cell is not None else None
+    del x, y
+    cell_index = (n_rows - 1 - row) * n_cols + col
+    del row, col
+    year = (np.concatenate(parts.pop("year")) if has_year
+            else np.zeros(cell_index.size, dtype=np.int64))
+    layer, layer_year, layer_doy = _layers(year,
+                                           np.concatenate(parts.pop("doy")))
+    value = np.concatenate(parts.pop("value"))
 
-    def build(recs):
-        keys = sorted({(r[2] if r[2] is not None else 0, r[3]) for r in recs})
-        layer_of = {k: i for i, k in enumerate(keys)}
-        doys = np.array([k[1] for k in keys], dtype=np.float64)
-        vals = np.full((n_rows, n_cols, len(keys)), np.nan, dtype=np.float32)
-        for x, y, year, doy, v in recs:
-            r = n_rows - 1 - y_pos[y]
-            c = x_pos[x]
-            li = layer_of[(year if year is not None else 0, doy)]
-            if clamp_eps is not None and math.isfinite(v):
-                if v <= 0.0:
-                    v = clamp_eps
-                elif v >= 1.0:
-                    v = 1.0 - clamp_eps
-            vals[r, c, li] = v
-        return Brick(vals, doys, georef)
+    def build(records, layers):
+        doys = layer_doy[layers]
+        slot = cell_index[records] * doys.size + (layer[records] - layers.start)
+        vals = _scatter(slot, value[records], n_rows * n_cols * doys.size)
+        return Brick(vals.reshape(n_rows, n_cols, doys.size), doys, georef)
 
     if mode == "pooled":
-        return build(records)
-    years = sorted({r[2] for r in records})
-    return {yr: build([r for r in records if r[2] == yr]) for yr in years}
+        return build(slice(None), slice(0, layer_doy.size))
+    years, starts = np.unique(layer_year, return_index=True)
+    ends = [*starts[1:].tolist(), layer_year.size]
+    return {yr: build(year == yr, slice(lo, hi))
+            for yr, lo, hi in zip(years.tolist(), starts.tolist(), ends)}
 
 
 @dataclass(frozen=True)
@@ -566,7 +636,8 @@ def fit_brick(brick: Brick, kind: LikelihoodKind, spec: PriorSpec,
         When the samples array would exceed this, it is an ``np.memmap`` of
         an unlinked temporary file instead of process memory. The file has
         no name, and its space is released together with the array, so
-        nothing is left behind even if the process is killed.
+        nothing is left behind even if the process is killed. NaN is
+        written up front only into the cells of pixels no block fits.
 
     Raises
     ------
@@ -596,7 +667,6 @@ def fit_brick(brick: Brick, kind: LikelihoodKind, spec: PriorSpec,
             samples = np.memmap(fh, dtype=np.float64, mode="w+", shape=shape)
     else:
         samples = np.empty(shape, dtype=np.float64)
-    samples[:] = np.nan
     acceptance = np.full((rows, cols, 2), np.nan, dtype=np.float64)
 
     finite = np.isfinite(brick.values)
@@ -609,6 +679,11 @@ def fit_brick(brick: Brick, kind: LikelihoodKind, spec: PriorSpec,
     skipped = [(r, c, f"too few observations: {k} < min_obs {min_obs}")
                for (r, c), k in zip(cells[few].tolist(), counts[few].tolist())]
     cells, counts = cells[~few], counts[~few]
+    # every cell no block record fills; writing NaN there alone keeps a
+    # spilled array from being written out in full before any chain runs
+    unfilled = np.ones((rows, cols), dtype=bool)
+    unfilled[tuple(cells.T)] = False
+    samples[unfilled] = np.nan
     # one group per observation count, each in row-major order, cut into
     # near-equal blocks of at most BLOCK_CAP pixels, largest groups first,
     # so the pool ends on small blocks

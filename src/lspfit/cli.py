@@ -16,12 +16,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
+from itertools import compress
 
 import numpy as np
 
-from .brick import (Brick, _check_summary_names, _csv_records, fit_brick,
+from .brick import (Brick, _check_summary_names, _csv_chunks, fit_brick,
                     grid_to_brick, ingest_long_csv, pixel_seed, read_brick,
                     summarize_brick, write_brick, write_grid_csv)
 from .curve import CurveParams, IndexBounds
@@ -502,34 +502,33 @@ def _load_series(opt: _Options, bounds: IndexBounds) -> ObservationSeries:
             raise ValueError("--year given but no year column")
         doys, values, coords = [], [], set()
         n_missing = 0
-        for _, row, doy, year in _csv_records(reader, len(header), idx["doy"],
-                                              idx.get("year")):
-            if (pixel_sel is not None
-                    and row[idx["pixel"]].strip() != str(pixel_sel)):
-                continue
-            if year_sel is not None and year != year_sel:
-                continue
+        for fields, cols in _csv_chunks(reader, len(header), idx["doy"],
+                                        idx[value_col], idx.get("year")):
+            keep = np.ones(cols["doy"].size, dtype=bool)
+            if pixel_sel is not None:
+                keep &= np.array([p.strip() == str(pixel_sel)
+                                  for p in fields[idx["pixel"]]], dtype=bool)
+            if year_sel is not None:
+                keep &= cols["year"] == year_sel
             if "x" in idx and "y" in idx:
-                coords.add((row[idx["x"]], row[idx["y"]]))
-            try:
-                v = float(row[idx[value_col]])
-            except ValueError:
-                v = math.nan
-            if not math.isfinite(v):
-                n_missing += 1
-                continue
-            doys.append(doy)
-            values.append(v)
+                coords.update(compress(zip(fields[idx["x"]], fields[idx["y"]]),
+                                       keep))
+            v = cols["value"][keep]
+            finite = np.isfinite(v)
+            n_missing += int(finite.size - finite.sum())
+            doys.append(cols["doy"][keep][finite])
+            values.append(v[finite])
     if len(coords) > 1 and pixel_sel is None:
         raise ValueError(
             f"selectors matched {len(coords)} distinct pixels; use --pixel "
             "or --year to isolate one series"
         )
-    if not doys:
+    doys = np.concatenate(doys) if doys else np.empty(0)
+    if not doys.size:
         raise ValueError("no usable observations after filtering")
     if n_missing:
         _progress(f"dropped {n_missing} missing observation(s)")
-    return ObservationSeries(np.array(doys), np.array(values), bounds)
+    return ObservationSeries(doys, np.concatenate(values), bounds)
 
 
 def _fit_setup(opt: _Options):
@@ -610,6 +609,8 @@ def cmd_fit_brick(opt: _Options) -> int:
     if path.endswith(".lspb"):
         if annual:
             raise ValueError("--annual applies to CSV ingestion only")
+        if clamp is not None:
+            raise ValueError("--clamp-beta-eps applies to CSV ingestion only")
         bricks = {None: read_brick(path)}
     else:
         ingested = ingest_long_csv(path, value_col=value_col,

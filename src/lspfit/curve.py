@@ -127,8 +127,8 @@ def _check_rates(a3, a6) -> None:
 
 
 def _in_doy_range(d):
-    """True where ``d`` is a day of year in [1, 366]; a plain bool for a float
-    (cheap enough per CSV row), elementwise on arrays; False for NaN."""
+    """True where ``d`` is a day of year in [1, 366], elementwise; False for
+    NaN."""
     return (d >= 1.0) & (d <= 366.0)
 
 

@@ -1,10 +1,14 @@
 """Tests for the raster-brick module: format, ingestion, parallel fitting."""
 
+import csv
+import io
 import logging
 import math
 import multiprocessing
 import os
 import tempfile
+import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -151,32 +155,146 @@ class TestLspbFormat:
         path = tmp_path / "x.lspb"
         write_brick(b, path)
         raw = path.read_bytes()
+        size = len(raw)  # 43 header bytes, 5 days, 3 x 4 x 5 values
+        assert size == self.HEADER_BYTES + 8 * 5 + 4 * 60
 
-        bad_magic = tmp_path / "bad_magic.lspb"
-        bad_magic.write_bytes(b"NOPE" + raw[4:])
-        with pytest.raises(ValueError, match="magic"):
-            read_brick(bad_magic)
+        for name, data, message in [
+            ("bad_magic", b"NOPE" + raw[4:],
+             "bad magic bytes b'NOPE'; not an LSPB file"),
+            ("bad_version", raw[:4] + b"\x02\x00" + raw[6:],
+             "unsupported format version 2; this reader handles version 1"),
+            ("short", raw[:-1],
+             f"truncated file: expected {size} bytes, got {size - 1}"),
+            ("header", raw[:10],
+             "truncated file: 10 bytes is too short for an LSPB header"),
+            ("long", raw + b"\x00",
+             f"trailing data: expected {size} bytes, got {size + 1}"),
+        ]:
+            bad = tmp_path / f"{name}.lspb"
+            bad.write_bytes(data)
+            with pytest.raises(ValueError) as exc:
+                read_brick(bad)
+            assert str(exc.value) == message
 
-        bad_version = tmp_path / "bad_version.lspb"
-        bad_version.write_bytes(raw[:4] + b"\x02\x00" + raw[6:])
-        with pytest.raises(ValueError, match="version"):
-            read_brick(bad_version)
-
-        truncated = tmp_path / "short.lspb"
-        truncated.write_bytes(raw[:-1])
-        with pytest.raises(ValueError, match="truncated"):
-            read_brick(truncated)
-
-        trailing = tmp_path / "long.lspb"
-        trailing.write_bytes(raw + b"\x00")
-        with pytest.raises(ValueError, match="trailing"):
-            read_brick(trailing)
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_read_from_a_pipe(self, tmp_path):
+        b = random_brick(4, georef=(1.0, 2.0, 0.5))
+        write_brick(b, tmp_path / "b.lspb")
+        raw = (tmp_path / "b.lspb").read_bytes()
+        size = len(raw)
+        for data, message in [
+            (raw, None),
+            (raw[:-1], f"truncated file: expected {size} bytes, got {size - 1}"),
+            (raw + b"\x00", f"trailing data: expected {size} bytes, got "
+                            f"{size + 1}"),
+        ]:
+            fifo = tmp_path / "pipe.lspb"
+            os.mkfifo(fifo)
+            writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+            writer.start()
+            try:
+                if message is None:
+                    back = read_brick(fifo)
+                    assert back.values.tobytes() == b.values.tobytes()
+                    assert back.georef == b.georef
+                else:
+                    with pytest.raises(ValueError) as exc:
+                        read_brick(fifo)
+                    assert str(exc.value) == message
+            finally:
+                writer.join(timeout=10)
+                fifo.unlink()
+            assert not writer.is_alive()
 
 
 def write_csv(tmp_path, rows, header="pixel,x,y,sat,year,doy,evi"):
     path = tmp_path / "obs.csv"
     path.write_text(header + "\n" + "\n".join(rows) + "\n")
     return path
+
+
+def random_long_csv(rng) -> tuple[str, bool]:
+    """A random long CSV: shuffled columns, a lattice with one to four x
+    and y values (with a gap from three on), NA, unparseable, out-of-range and padded values, repeated
+    records, blank lines and quoted fields; and whether it has a year
+    column."""
+    has_year = bool(rng.integers(2))
+    names = ["x", "y", "doy", "evi", "sat"] + (["year"] if has_year else [])
+    names = [names[i] for i in rng.permutation(len(names))]
+    cell = float(rng.choice([0.5, 1.0, 30.0]))
+    steps = [0, 1, 3, 4]  # a lattice line with no record at step 2
+    xs = [-100.0 + cell * i for i in steps[:rng.integers(1, 5)]]
+    ys = [40.0 + cell * i for i in steps[:rng.integers(1, 5)]]
+    texts = ["0.25", "0.7", "NA", "bogus", "", " 0.5 ", "1_0", "0", "1",
+             "-0.2", "1.3", "inf", "nan", "0.99999999", "1e-9"]
+    lines = [",".join(names)]
+    records = []
+    for _ in range(rng.integers(1, 60)):
+        rec = {"x": repr(float(rng.choice(xs))),
+               "y": repr(float(rng.choice(ys))),
+               "doy": str(rng.choice(["1", "100", "100.5", "200", "366"])),
+               "evi": str(rng.choice(texts)),
+               "sat": str(rng.choice(["S2", "L8", "S2,A"])),
+               "year": str(rng.choice(["2019", "2020", " 2021"]))}
+        if records and rng.random() < 0.2:  # the same cell and layer again
+            rec = dict(records[rng.integers(len(records))],
+                       evi=str(rng.choice(texts)))
+        records.append(rec)
+        fields = [f'"{rec[n]}"' if "," in rec[n] or rng.random() < 0.2
+                  else rec[n] for n in names]
+        lines.append(",".join(fields))
+        if rng.random() < 0.1:
+            lines.append("")
+    return "\n".join(lines) + "\n", has_year
+
+
+def dict_pivot(text: str, mode: str, clamp_eps):
+    """The expected ingest of ``text``, one record at a time into a dict
+    (later records overwrite earlier ones): ``{year or None: (values,
+    doys, georef)}``."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader)
+    at = {name: header.index(name) for name in header}
+    cells = {}
+    for row in reader:
+        if not row:
+            continue
+        year = int(row[at["year"]]) if "year" in at else 0
+        try:
+            v = float(row[at["evi"]])
+        except ValueError:
+            v = math.nan
+        if clamp_eps is not None and math.isfinite(v):
+            v = clamp_eps if v <= 0 else 1 - clamp_eps if v >= 1 else v
+        key = (float(row[at["x"]]), float(row[at["y"]]), year,
+               float(row[at["doy"]]))
+        cells[key] = v
+
+    def lattice(coords):
+        u = sorted(set(coords))
+        base = min((b - a for a, b in zip(u, u[1:])), default=None)
+        pos = {c: 0 if base is None else round((c - u[0]) / base) for c in u}
+        return pos, max(pos.values()) + 1, base
+
+    x_pos, n_cols, cell_x = lattice(k[0] for k in cells)
+    y_pos, n_rows, cell_y = lattice(k[1] for k in cells)
+    cell = cell_x if cell_x is not None else cell_y
+    georef = (None if cell is None
+              else (min(k[0] for k in cells), max(k[1] for k in cells), cell))
+    groups = ([None] if mode == "pooled"
+              else sorted({k[2] for k in cells}))
+    out = {}
+    for group in groups:
+        layers = sorted({(k[2], k[3]) for k in cells
+                         if group in (None, k[2])})
+        values = np.full((n_rows, n_cols, len(layers)), np.nan, np.float32)
+        for (x, y, year, doy), v in cells.items():
+            if group in (None, year):
+                values[n_rows - 1 - y_pos[y], x_pos[x],
+                       layers.index((year, doy))] = v
+        out[group] = (values, [d for _, d in layers], georef)
+    return out
+
 
 
 class TestIngest:
@@ -351,6 +469,100 @@ class TestIngest:
         assert np.array_equal(back.values, b.values, equal_nan=True)
         assert np.array_equal(back.doys, b.doys)
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_randomised_against_dict_pivot(self, tmp_path, monkeypatch, seed):
+        # chunks of 5 rows, so records and duplicates straddle chunk edges
+        monkeypatch.setattr(lspfit.brick, "CSV_CHUNK", 5)
+        rng = np.random.default_rng(seed)
+        text, has_year = random_long_csv(rng)
+        path = tmp_path / "obs.csv"
+        path.write_text(text, newline="")
+        for clamp_eps in (None, 1e-3):
+            modes = ("pooled", "annual") if has_year else ("pooled",)
+            for mode in modes:
+                got = ingest_long_csv(path, mode=mode, clamp_eps=clamp_eps)
+                want = dict_pivot(text, mode, clamp_eps)
+                if mode == "pooled":
+                    got = {None: got}
+                assert list(got) == list(want)
+                for key, (values, doys, georef) in want.items():
+                    b = got[key]
+                    assert b.values.dtype == np.float32
+                    assert b.values.shape == values.shape
+                    assert b.values.tobytes() == values.tobytes()
+                    assert b.doys.tolist() == doys
+                    assert b.georef == georef
+
+    @pytest.mark.parametrize("row, message", [
+        ("p,10,40,S2A,2019,50", "expected 7 fields, got 6"),
+        ("p,10,40,S2A,2019,50,0.5,extra", "expected 7 fields, got 8"),
+        ("p,10,40,S2A,2019,fifty,0.5", "unparseable doy field"),
+        ("p,10,40,S2A,2019,0.5,0.5", "doy must be in [1, 366]"),
+        ("p,10,40,S2A,2019,nan,0.5", "doy must be in [1, 366]"),
+        ("p,10,40,S2A,2019.0,50,0.5", "unparseable year field"),
+        (f"p,10,40,S2A,{2**63},50,0.5", "unparseable year field"),
+        ("p,ten,40,S2A,2019,50,0.5", "unparseable x/y field"),
+        ("p,10,inf,S2A,2019,50,0.5", "coordinates must be finite"),
+    ], ids=["short", "long", "doy", "doy-range", "doy-nan", "year",
+            "year-int64", "x", "y-inf"])
+    def test_bad_row_past_first_chunk_names_its_line(self, tmp_path, row,
+                                                     message):
+        # blank lines before the bad row still count as lines
+        n = lspfit.brick.CSV_CHUNK + 37
+        rows = [f"p,{10 + 10 * (i % 3)},40,S2A,2019,{1 + i % 300},0.5"
+                for i in range(n)]
+        rows[100:100] = ["", ""]
+        path = write_csv(tmp_path, rows + ["", row] + rows[:3])
+        with pytest.raises(ValueError) as exc:
+            ingest_long_csv(path)
+        # header, n rows, three blank lines, then the bad row
+        assert str(exc.value) == f"malformed row at line {n + 5}: {message}"
+
+    @pytest.mark.parametrize("rows, line, message", [
+        # a bad x on line 3 comes before a bad year on line 4
+        (["p,ten,40,S2A,2019,50,0.5", "p,10,40,S2A,20x9,50,0.5"], 3,
+         "unparseable x/y field"),
+        # a bad year on line 3 comes before a short row on line 4
+        (["p,10,40,S2A,20x9,50,0.5", "p,10,40"], 3, "unparseable year field"),
+        # a short row on line 3 comes before a bad doy on line 4
+        (["p,10,40", "p,10,40,S2A,2019,500,0.5"], 3,
+         "expected 7 fields, got 3"),
+        # one row failing doy, year and x names the doy
+        (["p,ten,40,S2A,20x9,zero,0.5"], 3, "unparseable doy field"),
+        # an unparseable doy is not also reported as out of range
+        (["p,10,40,S2A,2019,-,0.5"], 3, "unparseable doy field"),
+    ], ids=["x-before-year", "year-before-short", "short-before-doy",
+            "doy-first-in-row", "doy-parse-before-range"])
+    def test_first_bad_row_in_file_order(self, tmp_path, rows, line,
+                                         message):
+        path = write_csv(tmp_path, ["p,10,40,S2A,2019,20,0.5"] + rows)
+        with pytest.raises(ValueError) as exc:
+            ingest_long_csv(path)
+        assert str(exc.value) == f"malformed row at line {line}: {message}"
+
+    def test_memory_per_record(self, tmp_path):
+        # 120 x 120 pixels x 8 days = 115 200 records of a 0.46 MB brick
+        xs, ys, days = np.meshgrid(np.arange(120), np.arange(120),
+                                   np.arange(8, 361, 45), indexing="ij")
+        n = xs.size
+        vals = np.random.default_rng(5).integers(1000, 9000, n)
+        path = tmp_path / "big.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("pixel,x,y,sat,year,doy,evi\n")
+            fh.writelines(f"{x * 120 + y},{x * 30},{y * 30},S2,2019,{d},0.{v}\n"
+                          for x, y, d, v in zip(xs.ravel().tolist(),
+                                                ys.ravel().tolist(),
+                                                days.ravel().tolist(),
+                                                vals.tolist()))
+        tracemalloc.start()
+        try:
+            b = ingest_long_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert b.values.shape == (120, 120, 8)
+        assert peak / n <= 150, f"{peak / n:.0f} bytes per record"
+
 
 DOYS = [float(d) for d in range(8, 361, 16)]
 
@@ -474,19 +686,56 @@ class TestFitBrick:
     def test_memmap_spill_matches_in_memory(self, spec, fit_inputs, tmp_path,
                                             monkeypatch):
         brick, cfg = fit_inputs
+        # one masked pixel and one with too few observations: NaN cells
+        values = brick.values.copy()
+        values[1, 2, 5:] = np.nan
+        brick = Brick(values, brick.doys)
+        mask = np.ones((2, 3), dtype=bool)
+        mask[0, 1] = False
         kw = dict(kind=BETA, spec=spec, starting=standard_starting(),
-                  tuning=PHENO_TUNING, config=cfg)
+                  tuning=PHENO_TUNING, config=cfg, mask=mask)
         in_mem = fit_brick(brick, **kw)
+        assert in_mem.fitted_mask().sum() == 4
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         spilled = fit_brick(brick, mem_budget_mb=1e-4, **kw)
         assert isinstance(spilled.samples, np.memmap)
         assert not isinstance(in_mem.samples, np.memmap)
         assert np.array_equal(np.asarray(in_mem.samples),
                               np.asarray(spilled.samples), equal_nan=True)
+        assert np.array_equal(in_mem.acceptance, spilled.acceptance,
+                              equal_nan=True)
+        assert np.isnan(np.asarray(spilled.samples)[0, 1]).all()
+        assert np.isnan(np.asarray(spilled.samples)[1, 2]).all()
         # the spill file is unlinked: nothing is left to clean up, even if
         # the process is killed while the result is alive
         assert spilled.samples.filename is None
         assert list(tmp_path.iterdir()) == []
+
+    def test_spill_writes_nan_only_into_cells_no_block_fills(
+            self, spec, fit_inputs, monkeypatch):
+        brick, cfg = fit_inputs
+        mask = np.ones((2, 3), dtype=bool)
+        mask[0, 1] = False
+        spills, seen = [], []
+        memmap, fit_block = np.memmap, lspfit.brick._fit_block
+
+        def spill(*args, **kwargs):
+            spills.append(memmap(*args, **kwargs))
+            return spills[-1]
+
+        def watched(task, ctx):
+            seen.append(np.array(spills[0]))  # the spill as the block starts
+            return fit_block(task, ctx)
+        monkeypatch.setattr(np, "memmap", spill)
+        monkeypatch.setattr(lspfit.brick, "_fit_block", watched)
+        fit_brick(brick, BETA, spec, standard_starting(), PHENO_TUNING, cfg,
+                  mask=mask, mem_budget_mb=1e-4)
+        # a new file reads as zeros: the fitted cells were never written
+        # before their block, the masked one was filled with NaN
+        assert len(seen) == 1
+        assert np.isnan(seen[0][0, 1]).all()
+        seen[0][0, 1] = 0.0
+        assert not seen[0].any()
 
     def test_per_pixel_error_logged_not_raised(self, spec, fit_inputs):
         # A value of exactly 1.0 is data the Beta likelihood cannot produce:

@@ -26,7 +26,8 @@ from helpers import (
     py_curve_value,
     standard_starting,
 )
-from lspfit.brick import Brick, fit_brick, pixel_seed, read_brick, write_brick
+from lspfit.brick import (CSV_CHUNK, Brick, fit_brick, pixel_seed, read_brick,
+                          write_brick)
 from lspfit.cli import main
 from lspfit.posterior import QuadratureConfig, functional_samples, summarize
 from lspfit.sampler import ChainConfig, read_chain_csv, write_chain_csv
@@ -241,6 +242,18 @@ class TestConfigAndMeta:
         assert capsys.readouterr().err.startswith("error:")
 
 
+MALFORMED_ROWS = [
+    ("0,5,5,terra,2020,60", [], "expected 7 fields, got 6"),
+    ("0,5,5,terra,2020,sixty,0.4", [], "unparseable doy field"),
+    ("0,5,5,terra,2020,400,0.4", [], "doy must be in [1, 366]"),
+    ("0,5,5,terra,twenty,60,0.4", ["--year", "2020"],
+     "unparseable year field"),
+    (f"0,5,5,terra,{2**63},60,0.4", [], "unparseable year field"),
+]
+MALFORMED_IDS = ["short-row", "bad-doy", "doy-out-of-range", "bad-year",
+                 "year-past-int64"]
+
+
 class TestFit:
     def test_default_retention_bookkeeping(self, workdir, tmp_path):
         # the stock settings (50000 iterations, retain from 25000, stride 25)
@@ -287,13 +300,8 @@ class TestFit:
         assert rc == 0
         assert (tmp_path / "p3_chain.csv").exists()
 
-    @pytest.mark.parametrize("row, selector, message", [
-        ("0,5,5,terra,2020,60", [], "expected 7 fields, got 6"),
-        ("0,5,5,terra,2020,sixty,0.4", [], "unparseable doy field"),
-        ("0,5,5,terra,2020,400,0.4", [], "doy must be in [1, 366]"),
-        ("0,5,5,terra,twenty,60,0.4", ["--year", "2020"],
-         "unparseable year field"),
-    ], ids=["short-row", "bad-doy", "doy-out-of-range", "bad-year"])
+    @pytest.mark.parametrize("row, selector, message", MALFORMED_ROWS,
+                             ids=MALFORMED_IDS)
     def test_malformed_row_exits_2_naming_its_line(self, tmp_path, capsys,
                                                    row, selector, message):
         lines = ["pixel,x,y,sat,year,doy,evi",
@@ -305,6 +313,25 @@ class TestFit:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"malformed row at line 4: {message}" in err
+        assert not (tmp_path / "f_chain.csv").exists()
+
+    @pytest.mark.parametrize("row, selector, message", MALFORMED_ROWS,
+                             ids=MALFORMED_IDS)
+    def test_malformed_row_past_first_chunk_names_its_line(
+            self, tmp_path, capsys, row, selector, message):
+        # a blank line and more than a chunk of rows of another pixel come
+        # before the bad row, which is on line n + 3
+        n = CSV_CHUNK + 5
+        lines = ["pixel,x,y,sat,year,doy,evi", "",
+                 *(f"1,15,5,terra,2020,{1 + i % 300},0.3" for i in range(n)),
+                 row, "0,5,5,terra,2020,40,0.35"]
+        (tmp_path / "obs.csv").write_text("\n".join(lines) + "\n")
+        rc = run_cli(["fit", "--input", tmp_path / "obs.csv",
+                      "--out", tmp_path / "f", "--ig", "2,0.001",
+                      "--n-samples", "50", "--pixel", "0", *selector])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"malformed row at line {n + 3}: {message}" in err
         assert not (tmp_path / "f_chain.csv").exists()
 
 
@@ -622,6 +649,19 @@ class TestFitBrick:
         assert "clamp_eps must lie in (0, 0.5)" in err
         assert "fitting brick" not in err
         assert [p.name for p in tmp_path.iterdir()] == ["obs.csv"]
+
+    @pytest.mark.parametrize("option", [["--annual"],
+                                        ["--clamp-beta-eps", "0.01"]],
+                             ids=["annual", "clamp"])
+    def test_csv_only_option_with_lspb_input_exits_2(self, sim_brick,
+                                                     tmp_path, capsys,
+                                                     option):
+        rc = run_cli(["fit-brick", "--input", sim_brick, "--out",
+                      tmp_path / "o", "--ig", "2,0.001", *option])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{option[0]} applies to CSV ingestion only" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_save_samples_npz(self, sim_brick, tmp_path):
         rc = run_cli(["fit-brick", "--input", sim_brick, "--out", tmp_path / "s",
