@@ -11,7 +11,9 @@ lockstep (:func:`lspfit.sampler.run_lockstep`); a group of fewer than
 :func:`lspfit.sampler.run_chain`. Either way each pixel's chain is the one
 ``run_chain`` gives for its seed, and seeds depend only on (row, col), so
 results are bit-identical for any worker count, block cut and scheduling
-order.
+order. Each block is reduced to the requested grid values where it is
+fitted, so a fit holds draws only for the blocks in flight unless it is
+asked to keep them.
 
 The on-disk `LSPB` format is fixed bit-exactly:
 
@@ -32,7 +34,6 @@ import math
 import os
 import stat
 import struct
-import tempfile
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
@@ -475,44 +476,84 @@ def ingest_long_csv(path, *, value_col="evi", x_col="x", y_col="y",
 
 @dataclass(frozen=True)
 class BrickFitResult:
-    """Per-pixel chains and bookkeeping from :func:`fit_brick`.
+    """Per-pixel grids and bookkeeping from :func:`fit_brick`.
 
-    ``samples`` has shape (rows, cols, retained, 8) with NaN across unfitted
-    pixels; ``acceptance`` has shape (rows, cols, 2) holding the overall and
-    last-batch acceptance fractions; ``n_obs`` counts each pixel's
-    non-missing observations; ``skipped`` lists (row, col, reason) for every
-    requested pixel that was not fitted.
+    ``grids`` maps each requested (functional, statistic) pair to its
+    (rows, cols) grid; ``acceptance`` has shape (rows, cols, 2) holding the
+    overall and last-batch acceptance fractions; ``n_obs`` counts each
+    pixel's non-missing observations; ``skipped`` lists (row, col, reason)
+    for every requested pixel that was not fitted; ``retained_count`` is the
+    number of draws each chain retains. ``samples`` holds the (rows, cols,
+    retained, 8) draws when the fit kept them, and is None otherwise.
+    Unfitted pixels are NaN in every array.
     """
 
-    samples: np.ndarray
+    grids: dict
     acceptance: np.ndarray
     n_obs: np.ndarray
     skipped: tuple
+    retained_count: int
+    samples: np.ndarray | None = None
     georef: tuple[float, float, float] | None = None
 
     @property
     def rows(self) -> int:
-        return self.samples.shape[0]
+        return self.acceptance.shape[0]
 
     @property
     def cols(self) -> int:
-        return self.samples.shape[1]
-
-    @property
-    def retained_count(self) -> int:
-        return self.samples.shape[2]
+        return self.acceptance.shape[1]
 
     def fitted_mask(self) -> np.ndarray:
         """Boolean grid: True where a chain was fitted."""
         return np.isfinite(self.acceptance[:, :, 0])
 
+    def _draws(self) -> np.ndarray:
+        if self.samples is None:
+            raise ValueError("this result holds no draws; fit the brick with "
+                             "keep_samples=True")
+        return self.samples
+
     def chain_at(self, row: int, col: int) -> Chain | None:
-        """The pixel's Chain, or None if it was not fitted."""
+        """The pixel's Chain, or None if it was not fitted. A fitted pixel's
+        chain needs a result that kept its samples."""
         acc = self.acceptance[row, col]
         if not np.isfinite(acc[0]):
             return None
-        return Chain(np.array(self.samples[row, col]), float(acc[0]),
+        return Chain(np.array(self._draws()[row, col]), float(acc[0]),
                      float(acc[1]))
+
+
+def _check_request(functionals, statistics, retained: int) -> None:
+    """Raise ValueError naming the first unknown functional or statistic, or
+    for the sd statistic with fewer than 2 retained draws."""
+    for fn in functionals:
+        if fn not in FUNCTIONALS:
+            raise ValueError(
+                f"unknown functional {fn!r}; expected one of {FUNCTIONALS}"
+            )
+    for st in statistics:
+        if st not in STATISTICS:
+            raise ValueError(
+                f"unknown statistic {st!r}; expected one of {STATISTICS}"
+            )
+    if "sd" in statistics and retained < 2:
+        raise ValueError("statistic sd needs at least 2 retained draws")
+
+
+def _block_grids(draws, functionals, statistics, q=None) -> dict:
+    """``{(functional, statistic): (P,) values}`` of the ``(P, M, 8)`` draws
+    of P >= 1 pixels. Each functional is evaluated once on all P*M draws and
+    every statistic is reduced from that, as
+    :func:`lspfit.posterior.sample_statistics` does for one pixel, so each
+    value equals ``summarize`` on that pixel's draws bit for bit."""
+    flat = Chain(draws.reshape(-1, 8))
+    out = {}
+    for fn in functionals:
+        v = functional_samples(flat, fn, q).reshape(draws.shape[:2])
+        for st, values in sample_statistics(v, statistics).items():
+            out[fn, st] = values
+    return out
 
 
 def _fit_block_pooled(task, ctx):
@@ -522,39 +563,50 @@ def _fit_block_pooled(task, ctx):
 
 
 def _fit_block(task, ctx):
-    """Fit one block of pixels sharing an observation count.
+    """Fit one block of pixels sharing an observation count and reduce it.
 
-    Returns the block record ``(cells, samples, acceptance, errors)``: the
-    block's (row, col) cells, their ``(B, M, 8)`` retained draws, their
-    ``(B, 2)`` overall and last-batch acceptance, and a ``(row, col,
-    reason)`` entry for every pixel whose chain raised. A failed pixel's
-    rows are NaN. If ``run_lockstep`` raises, the block is refitted pixel
-    by pixel with ``run_chain``, so one bad pixel fails alone."""
+    Returns the block record ``(cells, acceptance, values, draws, errors)``
+    of the block's fitted pixels: their (row, col) cells, their ``(P, 2)``
+    overall and last-batch acceptance, their grid values from
+    :func:`_block_grids`, their ``(P, M, 8)`` draws if the request keeps
+    samples (else None), and a ``(row, col, reason)`` entry for every pixel
+    whose chain raised. If ``run_lockstep`` raises, the block is refitted
+    pixel by pixel with ``run_chain``, so one bad pixel fails alone."""
     cells, t, y, seeds = task
-    kind, spec, starting, tuning, config = ctx
+    kind, spec, starting, tuning, config, request = ctx
     if len(cells) >= LOCKSTEP_MIN:
         try:
-            samples, acc, acc_batch = run_lockstep(
+            draws, acc, acc_batch = run_lockstep(
                 kind, t, y, spec, starting, tuning, config, seeds)
-            return cells, samples, np.stack([acc, acc_batch], axis=1), []
         except Exception as exc:  # refit pixel by pixel below
             _log.warning("lockstep failed on a block of %d pixels (%s: %s); "
                          "refitting them pixel by pixel", len(cells),
                          type(exc).__name__, exc)
-    samples = np.full((len(cells), subsample_indices(config).size, 8),
-                      np.nan)
-    acceptance = np.full((len(cells), 2), np.nan)
-    errors = []
+        else:
+            return _block_record(cells, draws,
+                                 np.stack([acc, acc_batch], axis=1), [],
+                                 request)
+    fitted, chains, errors = [], [], []
     for i, (r, c) in enumerate(cells):
         try:
-            chain = run_chain(kind, ObservationSeries(t[i], y[i]), spec,
-                              starting, tuning, replace(config, seed=seeds[i]))
+            chains.append(run_chain(kind, ObservationSeries(t[i], y[i]), spec,
+                                    starting, tuning,
+                                    replace(config, seed=seeds[i])))
         except Exception as exc:
             errors.append((r, c, f"{type(exc).__name__}: {exc}"))
             continue
-        samples[i] = chain.samples
-        acceptance[i] = chain.acc_overall, chain.acc_last_batch
-    return cells, samples, acceptance, errors
+        fitted.append((r, c))
+    m = subsample_indices(config).size
+    draws = np.array([ch.samples for ch in chains]).reshape(len(chains), m, 8)
+    acceptance = np.array([(ch.acc_overall, ch.acc_last_batch)
+                           for ch in chains]).reshape(len(chains), 2)
+    return _block_record(fitted, draws, acceptance, errors, request)
+
+
+def _block_record(cells, draws, acceptance, errors, request):
+    functionals, statistics, q, keep_samples = request
+    values = _block_grids(draws, functionals, statistics, q) if cells else {}
+    return cells, acceptance, values, draws if keep_samples else None, errors
 
 
 def _block_task(brick, finite, cells, base_seed):
@@ -577,14 +629,10 @@ def _fit_pooled(tasks, ctx, workers):
     failed."""
     pool = ProcessPoolExecutor(max_workers=workers)
     inflight = {}  # future -> the cells of its block
-    *_, config = ctx
-    m = subsample_indices(config).size
 
     def unfinished(cells, exc):
         reason = f"BrokenProcessPool: block not finished: {exc}"
-        return (cells, np.full((len(cells), m, 8), np.nan),
-                np.full((len(cells), 2), np.nan),
-                [(r, c, reason) for r, c in cells])
+        return [], None, {}, None, [(r, c, reason) for r, c in cells]
 
     def record(fut, cells):
         try:
@@ -611,14 +659,18 @@ def _fit_pooled(tasks, ctx, workers):
 def fit_brick(brick: Brick, kind: LikelihoodKind, spec: PriorSpec,
               starting: ParamVector, tuning: TuningSpec, config: ChainConfig,
               mask: np.ndarray | None = None, workers: int = 1,
-              min_obs: int = 9,
-              mem_budget_mb: float = 512.0) -> BrickFitResult:
-    """Fit every requested pixel's chain; deterministic for any worker count.
+              min_obs: int = 9, functionals=(), statistics=(),
+              q: QuadratureConfig | None = None,
+              keep_samples: bool = False) -> BrickFitResult:
+    """Fit every requested pixel's chain and reduce it to grids;
+    deterministic for any worker count.
 
     Each unmasked pixel with at least ``min_obs`` non-missing observations
     gets the chain :func:`run_chain` gives on its (doy, value) pairs, seeded
     with ``pixel_seed(config.seed, row, col, cols)``. Pixels are fitted in
-    blocks of one observation count (see the module docstring). A pixel that
+    blocks of one observation count (see the module docstring), and each
+    block is reduced to its grid values where it was fitted, so without
+    ``keep_samples`` draws exist only for the blocks in flight. A pixel that
     is skipped (too few observations) or fails is logged in ``skipped`` with
     a reason and left as NaN in the outputs; the run never aborts on a
     pixel, nor on a pool worker that dies.
@@ -632,18 +684,22 @@ def fit_brick(brick: Brick, kind: LikelihoodKind, spec: PriorSpec,
         value because pixel seeds depend only on pixel position.
     min_obs : int
         Minimum observation count to attempt a fit (>= 1).
-    mem_budget_mb : float
-        When the samples array would exceed this, it is an ``np.memmap`` of
-        an unlinked temporary file instead of process memory. The file has
-        no name, and its space is released together with the array, so
-        nothing is left behind even if the process is killed. NaN is
-        written up front only into the cells of pixels no block fits.
+    functionals, statistics : sequences of str
+        The grids of ``result.grids``: one per (functional, statistic) pair,
+        each value the one :func:`summarize_brick` gives. Default none.
+    q : QuadratureConfig, optional
+        The integration range of ``auc``.
+    keep_samples : bool
+        Also return the draws as ``result.samples``, a dense (rows, cols,
+        retained, 8) float64 array of the whole brick.
 
     Raises
     ------
     ValueError
         Dimension mismatch between mask and brick, invalid worker or
-        min_obs counts, or a starting vector outside the prior support.
+        min_obs counts, a starting vector outside the prior support, an
+        unknown functional or statistic, or sd with fewer than 2 retained
+        draws; all before any chain runs.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -660,14 +716,14 @@ def fit_brick(brick: Brick, kind: LikelihoodKind, spec: PriorSpec,
                 f"{mask.dtype} {mask.shape}"
             )
     _check_start(_FlatPrior(spec), starting.to_array().tolist())
+    functionals, statistics = tuple(functionals), tuple(statistics)
+    m = subsample_indices(config).size
+    _check_request(functionals, statistics, m)
 
-    shape = (rows, cols, subsample_indices(config).size, 8)
-    if math.prod(shape) * 8 > mem_budget_mb * 2**20:
-        with tempfile.TemporaryFile() as fh:  # the map keeps its own handle
-            samples = np.memmap(fh, dtype=np.float64, mode="w+", shape=shape)
-    else:
-        samples = np.empty(shape, dtype=np.float64)
-    acceptance = np.full((rows, cols, 2), np.nan, dtype=np.float64)
+    grids = {(fn, st): np.full((rows, cols), np.nan)
+             for fn in functionals for st in statistics}
+    acceptance = np.full((rows, cols, 2), np.nan)
+    samples = np.full((rows, cols, m, 8), np.nan) if keep_samples else None
 
     finite = np.isfinite(brick.values)
     n_obs_all = finite.sum(axis=2).astype(np.int32)
@@ -679,11 +735,6 @@ def fit_brick(brick: Brick, kind: LikelihoodKind, spec: PriorSpec,
     skipped = [(r, c, f"too few observations: {k} < min_obs {min_obs}")
                for (r, c), k in zip(cells[few].tolist(), counts[few].tolist())]
     cells, counts = cells[~few], counts[~few]
-    # every cell no block record fills; writing NaN there alone keeps a
-    # spilled array from being written out in full before any chain runs
-    unfilled = np.ones((rows, cols), dtype=bool)
-    unfilled[tuple(cells.T)] = False
-    samples[unfilled] = np.nan
     # one group per observation count, each in row-major order, cut into
     # near-equal blocks of at most BLOCK_CAP pixels, largest groups first,
     # so the pool ends on small blocks
@@ -695,67 +746,57 @@ def fit_brick(brick: Brick, kind: LikelihoodKind, spec: PriorSpec,
     tasks = (_block_task(brick, finite, block, config.seed)
              for block in blocks)
 
-    ctx = (kind, spec, starting, tuning, config)
+    ctx = (kind, spec, starting, tuning, config,
+           (functionals, statistics, q, keep_samples))
     if workers == 1 or len(blocks) <= 1:
         records = (_fit_block(task, ctx) for task in tasks)
     else:
         records = _fit_pooled(tasks, ctx, min(workers, len(blocks)))
-    for block_cells, block_samples, block_acceptance, errors in records:
-        at = tuple(np.transpose(block_cells))
-        samples[at] = block_samples
-        acceptance[at] = block_acceptance
+    for block_cells, block_acceptance, values, draws, errors in records:
         skipped.extend(errors)
+        if not block_cells:
+            continue
+        at = tuple(np.transpose(block_cells))
+        acceptance[at] = block_acceptance
+        for key, v in values.items():
+            grids[key][at] = v
+        if samples is not None:
+            samples[at] = draws
 
-    return BrickFitResult(samples, acceptance, n_obs, tuple(sorted(skipped)),
-                          brick.georef)
-
-
-def _check_summary_names(functionals, statistics) -> None:
-    """Raise ValueError naming the first unknown functional or statistic."""
-    for fn in functionals:
-        if fn not in FUNCTIONALS:
-            raise ValueError(
-                f"unknown functional {fn!r}; expected one of {FUNCTIONALS}"
-            )
-    for st in statistics:
-        if st not in STATISTICS:
-            raise ValueError(
-                f"unknown statistic {st!r}; expected one of {STATISTICS}"
-            )
+    return BrickFitResult(grids, acceptance, n_obs, tuple(sorted(skipped)),
+                          m, samples, brick.georef)
 
 
 def summarize_brick(result: BrickFitResult, functional: str, statistic,
                     q: QuadratureConfig | None = None):
-    """Grids of posterior statistics of one derived functional.
+    """Grids of posterior statistics of one derived functional, from a
+    result that kept its samples.
 
     ``functional`` is any name accepted by
     :func:`lspfit.posterior.functional_samples`; ``statistic`` is one of
     mean, sd (n-1 denominator), median, q025, q975, or width95
     (q975 - q025), which gives one grid, or a sequence of them, which gives
-    a dict mapping each to its grid. The fitted pixels are taken in chunks
-    of at most ``BLOCK_CAP``: the functional is evaluated once on all of a
-    chunk's draws and every statistic is reduced from that, as
-    :func:`lspfit.posterior.sample_statistics` does for one pixel, so each
-    value equals ``summarize`` on that pixel's draws bit for bit. Memory
-    stays bounded by a chunk when ``result.samples`` is a memmap. Unfitted
-    pixels are NaN.
+    a dict mapping each to its grid. The fitted pixels are reduced by
+    :func:`_block_grids` in chunks of at most ``BLOCK_CAP``, the reduction
+    :func:`fit_brick` applies to each block, so every value equals both
+    ``summarize`` on that pixel's draws and the same grid of
+    ``result.grids``, bit for bit. Unfitted pixels are NaN.
 
     Raises
     ------
     ValueError
-        Unknown functional or statistic name.
+        Unknown functional or statistic name, sd with fewer than 2 retained
+        draws, or a result without samples.
     """
     names = (statistic,) if isinstance(statistic, str) else tuple(statistic)
-    _check_summary_names((functional,), names)
-    grids = {st: np.full((result.rows, result.cols), np.nan, dtype=np.float64)
-             for st in names}
+    _check_request((functional,), names, result.retained_count)
+    samples = result._draws()
+    grids = {st: np.full((result.rows, result.cols), np.nan) for st in names}
     rows, cols = np.nonzero(result.fitted_mask())
     for lo in range(0, rows.size, BLOCK_CAP):
         r, c = rows[lo:lo + BLOCK_CAP], cols[lo:lo + BLOCK_CAP]
-        draws = np.asarray(result.samples[r, c])  # (P, M, 8)
-        flat = Chain(draws.reshape(-1, 8))
-        v = functional_samples(flat, functional, q).reshape(draws.shape[:2])
-        for st, values in sample_statistics(v, names).items():
+        block = _block_grids(samples[r, c], (functional,), names, q)
+        for (_, st), values in block.items():
             grids[st][r, c] = values
     return grids[statistic] if isinstance(statistic, str) else grids
 
@@ -765,22 +806,25 @@ def write_grid_csv(grid: np.ndarray, path,
     """Write a (rows, cols) grid as long CSV with columns row,col,x,y,value.
 
     x and y come from the georeference (x = x0 + col*cell,
-    y = y0 - row*cell); without one, x = col and y = row. Values use 17
-    significant digits; NaN cells are written as ``NA``.
+    y = y0 - row*cell); without one, x = col and y = row. Numbers are
+    written as ``f"{v:.17g}"``, and cells that are not finite as ``NA``.
+    Each x and y is formatted once, and the values are read as one list.
     """
     grid = np.asarray(grid)
+    rows, cols = grid.shape
+    if georef is None:
+        x, y = np.arange(cols, dtype=float), np.arange(rows, dtype=float)
+    else:
+        x = georef[0] + np.arange(cols) * georef[2]
+        y = georef[1] - np.arange(rows) * georef[2]
+    col_x = [f"{c},{v:.17g}" for c, v in enumerate(x.tolist())]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("row,col,x,y,value\n")
-        for r in range(grid.shape[0]):
-            for c in range(grid.shape[1]):
-                if georef is not None:
-                    x = georef[0] + c * georef[2]
-                    y = georef[1] - r * georef[2]
-                else:
-                    x, y = float(c), float(r)
-                v = grid[r, c]
-                sval = "NA" if not np.isfinite(v) else f"{v:.17g}"
-                fh.write(f"{r},{c},{x:.17g},{y:.17g},{sval}\n")
+        for r, (yr, line) in enumerate(zip(y.tolist(), grid.tolist())):
+            row_y = f",{yr:.17g},"
+            fh.writelines(f"{r},{cx}{row_y}{v:.17g}\n" if math.isfinite(v)
+                          else f"{r},{cx}{row_y}NA\n"
+                          for cx, v in zip(col_x, line))
 
 
 def grid_to_brick(grid: np.ndarray,

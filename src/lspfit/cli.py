@@ -17,13 +17,14 @@ import argparse
 import csv
 import json
 import sys
-from itertools import compress
 
 import numpy as np
 
-from .brick import (Brick, _check_summary_names, _csv_chunks, fit_brick,
+from .brick import (Brick, _check_request, _csv_chunks, fit_brick,
                     grid_to_brick, ingest_long_csv, pixel_seed, read_brick,
-                    summarize_brick, write_brick, write_grid_csv)
+                    write_brick, write_grid_csv)
+# not called here: bench/tracing.py looks it up in this module by name
+from .brick import summarize_brick  # noqa: F401
 from .curve import CurveParams, IndexBounds
 from .likelihood import LikelihoodKind, NoiseParam, ObservationSeries, simulate_series
 from .posterior import (DERIVED_FUNCTIONALS, QuadratureConfig,
@@ -267,9 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, help="process count (default 1)")
     p.add_argument("--min-obs", dest="min_obs", type=int,
                    help="minimum observations per pixel (default 9)")
-    p.add_argument("--mem-budget-mb", dest="mem_budget_mb", type=float,
-                   help="spill per-pixel samples to a memmap beyond this "
-                        "(default 512)")
     p.add_argument("--functionals",
                    help="comma list of grid functionals (default the 8 "
                         "parameters)")
@@ -500,19 +498,20 @@ def _load_series(opt: _Options, bounds: IndexBounds) -> ObservationSeries:
             raise ValueError("--pixel given but no pixel column")
         if year_sel is not None and "year" not in idx:
             raise ValueError("--year given but no year column")
+        xy = (idx["x"], idx["y"]) if "x" in idx and "y" in idx else None
         doys, values, coords = [], [], set()
         n_missing = 0
         for fields, cols in _csv_chunks(reader, len(header), idx["doy"],
-                                        idx[value_col], idx.get("year")):
+                                        idx[value_col], idx.get("year"), xy):
             keep = np.ones(cols["doy"].size, dtype=bool)
             if pixel_sel is not None:
                 keep &= np.array([p.strip() == str(pixel_sel)
                                   for p in fields[idx["pixel"]]], dtype=bool)
             if year_sel is not None:
                 keep &= cols["year"] == year_sel
-            if "x" in idx and "y" in idx:
-                coords.update(compress(zip(fields[idx["x"]], fields[idx["y"]]),
-                                       keep))
+            if xy is not None:
+                coords.update(zip(cols["x"][keep].tolist(),
+                                  cols["y"][keep].tolist()))
             v = cols["value"][keep]
             finite = np.isfinite(v)
             n_missing += int(finite.size - finite.sum())
@@ -588,7 +587,6 @@ def cmd_fit_brick(opt: _Options) -> int:
     quad = _quad_config(opt)
     workers = opt.get("workers", 1, int)
     min_obs = opt.get("min_obs", 9, int)
-    budget = opt.get("mem_budget_mb", 512.0, float)
     annual = opt.get("annual", False, _parse_bool)
     pooled_flag = opt.get("pooled", None, _parse_bool)
     if pooled_flag and annual:
@@ -599,9 +597,8 @@ def cmd_fit_brick(opt: _Options) -> int:
         opt.get("functionals", ",".join(PARAM_NAMES))).split(",")]
     statistics = [st.strip() for st in
                   str(opt.get("statistics", "median,sd")).split(",")]
-    _check_summary_names(functionals, statistics)
-    if "sd" in statistics and subsample_indices(config).size < 2:
-        raise ValueError("statistic sd needs at least 2 retained draws")
+    # fit_brick checks these too; here they fail before the input is read
+    _check_request(functionals, statistics, subsample_indices(config).size)
     lspb_grids = opt.get("lspb_grids", False, _parse_bool)
     save_samples = opt.get("save_samples", False, _parse_bool)
 
@@ -631,20 +628,18 @@ def cmd_fit_brick(opt: _Options) -> int:
         )
         result = fit_brick(brk, kind, spec, starting, tuning, config,
                            mask=mask, workers=workers, min_obs=min_obs,
-                           mem_budget_mb=budget)
+                           functionals=functionals, statistics=statistics,
+                           q=quad, keep_samples=save_samples)
         n_fit = int(result.fitted_mask().sum())
         if n_fit == 0:
             _progress(f"warning: no pixels fitted{tag or ''}")
         _progress(f"fitted {n_fit} pixel(s), skipped {len(result.skipped)}")
 
-        for fn in functionals:
-            grids = summarize_brick(result, fn, statistics, quad)
-            for st, grid in grids.items():
-                gpath = f"{prefix}_{fn}_{st}.csv"
-                write_grid_csv(grid, gpath, result.georef)
-                if lspb_grids:
-                    write_brick(grid_to_brick(grid, result.georef),
-                                f"{prefix}_{fn}_{st}.lspb")
+        for (fn, st), grid in result.grids.items():
+            write_grid_csv(grid, f"{prefix}_{fn}_{st}.csv", result.georef)
+            if lspb_grids:
+                write_brick(grid_to_brick(grid, result.georef),
+                            f"{prefix}_{fn}_{st}.lspb")
         write_grid_csv(result.acceptance[:, :, 0],
                        f"{prefix}_acceptance_overall.csv", result.georef)
         write_grid_csv(result.acceptance[:, :, 1],
@@ -656,7 +651,7 @@ def cmd_fit_brick(opt: _Options) -> int:
         if save_samples:
             np.savez_compressed(
                 f"{prefix}_samples.npz",
-                samples=np.asarray(result.samples),
+                samples=result.samples,
                 acceptance=result.acceptance,
                 n_obs=result.n_obs,
             )

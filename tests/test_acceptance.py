@@ -346,7 +346,8 @@ def test_criterion_07_acceptance_window(pixel_panel, criterion):
 def test_criterion_08_brick_worker_invariance(criterion):
     cap = 900.0
     cores = os.cpu_count() or 1
-    desc = "40x40 brick: workers 1/2/4 give bit-identical per-pixel chains"
+    desc = ("40x40 brick: workers 1/2/4 give bit-identical per-pixel chains "
+            "and grids")
     desc += ("; 2-worker speedup <= 0.6x" if cores >= 4
              else f" (speedup clause skipped: {cores}-core host)")
     passed = False
@@ -368,7 +369,11 @@ def test_criterion_08_brick_worker_invariance(criterion):
         for w in (1, 2, 4):
             w0 = time.perf_counter()
             results[w] = fit_brick(brick, BETA, spec, standard_starting(),
-                                   PHENO_TUNING, cfg, workers=w)
+                                   PHENO_TUNING, cfg, workers=w,
+                                   functionals=("alpha4", "season_length",
+                                                "auc"),
+                                   statistics=("median", "sd", "width95"),
+                                   keep_samples=True)
             walls[w] = time.perf_counter() - w0
 
         assert results[1].skipped == ()
@@ -376,6 +381,9 @@ def test_criterion_08_brick_worker_invariance(criterion):
             assert np.array_equal(results[1].samples, results[w].samples)
             assert np.array_equal(results[1].acceptance, results[w].acceptance)
             assert np.array_equal(results[1].n_obs, results[w].n_obs)
+            assert list(results[1].grids) == list(results[w].grids)
+            for key, grid in results[1].grids.items():
+                assert np.array_equal(grid, results[w].grids[key]), key
 
         if cores >= 4:
             assert walls[2] <= 0.6 * walls[1], walls

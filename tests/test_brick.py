@@ -6,7 +6,6 @@ import logging
 import math
 import multiprocessing
 import os
-import tempfile
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -565,6 +564,14 @@ class TestIngest:
 
 
 DOYS = [float(d) for d in range(8, 361, 16)]
+EVERY_GRID = dict(functionals=FUNCTIONALS, statistics=STATISTICS)
+
+
+def assert_grids_equal(a: dict, b: dict) -> None:
+    """The same (functional, statistic) keys, and bit-identical grids."""
+    assert list(a) == list(b)
+    for key, grid in a.items():
+        assert np.array_equal(grid, b[key], equal_nan=True), key
 
 
 @pytest.fixture(scope="module")
@@ -583,20 +590,22 @@ class TestFitBrick:
     def test_worker_count_invariance(self, spec, fit_inputs):
         brick, cfg = fit_inputs
         kw = dict(kind=BETA, spec=spec, starting=standard_starting(),
-                  tuning=PHENO_TUNING, config=cfg)
+                  tuning=PHENO_TUNING, config=cfg, keep_samples=True,
+                  **EVERY_GRID)
         r1 = fit_brick(brick, workers=1, **kw)
         r2 = fit_brick(brick, workers=2, **kw)
         r5 = fit_brick(brick, workers=5, **kw)
         for other in (r2, r5):
-            assert np.array_equal(np.asarray(r1.samples), np.asarray(other.samples),
-                                  equal_nan=True)
+            assert np.array_equal(r1.samples, other.samples, equal_nan=True)
+            assert_grids_equal(r1.grids, other.grids)
             assert np.array_equal(r1.acceptance, other.acceptance, equal_nan=True)
             assert np.array_equal(r1.n_obs, other.n_obs)
             assert r1.skipped == other.skipped
 
     def test_single_pixel_equivalence(self, spec, fit_inputs):
         brick, cfg = fit_inputs
-        r = fit_brick(brick, BETA, spec, standard_starting(), PHENO_TUNING, cfg)
+        r = fit_brick(brick, BETA, spec, standard_starting(), PHENO_TUNING, cfg,
+                      keep_samples=True)
         row, col = 1, 2
         from lspfit import ObservationSeries
 
@@ -606,7 +615,7 @@ class TestFitBrick:
             BETA, series, spec, standard_starting(), PHENO_TUNING,
             replace(cfg, seed=pixel_seed(cfg.seed, row, col, brick.cols)),
         )
-        assert np.array_equal(direct.samples, np.asarray(r.samples[row, col]))
+        assert np.array_equal(direct.samples, r.samples[row, col])
         assert r.acceptance[row, col, 0] == direct.acc_overall
         assert r.acceptance[row, col, 1] == direct.acc_last_batch
 
@@ -619,7 +628,7 @@ class TestFitBrick:
         mask = np.ones((2, 3), dtype=bool)
         mask[0, 0] = False
         r = fit_brick(poked, BETA, spec, standard_starting(), PHENO_TUNING,
-                      cfg, mask=mask, min_obs=9)
+                      cfg, mask=mask, min_obs=9, keep_samples=True)
         fitted = r.fitted_mask()
         assert not fitted[0, 0]          # masked out
         assert not fitted[0, 1] and not fitted[1, 0]
@@ -627,7 +636,7 @@ class TestFitBrick:
         skipped = {(s[0], s[1]): s[2] for s in r.skipped}
         assert set(skipped) == {(0, 1), (1, 0)}
         assert "9" in skipped[(1, 0)]    # reason mentions the threshold
-        assert np.all(np.isnan(np.asarray(r.samples)[0, 0]))
+        assert np.all(np.isnan(r.samples[0, 0]))
         assert np.isnan(r.acceptance[0, 0, 0])
         assert r.n_obs[1, 0] == 5 and r.n_obs[0, 2] == len(DOYS)
         assert r.chain_at(0, 0) is None
@@ -672,70 +681,83 @@ class TestFitBrick:
 
     def test_missing_layers_leave_pixel_unchanged(self, spec, fit_inputs):
         brick, cfg = fit_inputs
-        r0 = fit_brick(brick, BETA, spec, standard_starting(), PHENO_TUNING, cfg)
+        r0 = fit_brick(brick, BETA, spec, standard_starting(), PHENO_TUNING, cfg,
+                       keep_samples=True)
         vals = np.concatenate(
             [np.array(brick.values), np.full((2, 3, 2), np.nan, np.float32)],
             axis=2,
         )
         doys = np.concatenate([brick.doys, [5.0, 6.0]])
         r1 = fit_brick(Brick(vals, doys), BETA, spec, standard_starting(),
-                       PHENO_TUNING, cfg)
-        assert np.array_equal(np.asarray(r0.samples), np.asarray(r1.samples),
-                              equal_nan=True)
+                       PHENO_TUNING, cfg, keep_samples=True)
+        assert np.array_equal(r0.samples, r1.samples, equal_nan=True)
 
-    def test_memmap_spill_matches_in_memory(self, spec, fit_inputs, tmp_path,
-                                            monkeypatch):
+    def test_grids_without_samples_equal_grids_with(self, spec, fit_inputs):
         brick, cfg = fit_inputs
-        # one masked pixel and one with too few observations: NaN cells
-        values = brick.values.copy()
-        values[1, 2, 5:] = np.nan
-        brick = Brick(values, brick.doys)
         mask = np.ones((2, 3), dtype=bool)
         mask[0, 1] = False
         kw = dict(kind=BETA, spec=spec, starting=standard_starting(),
-                  tuning=PHENO_TUNING, config=cfg, mask=mask)
-        in_mem = fit_brick(brick, **kw)
-        assert in_mem.fitted_mask().sum() == 4
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        spilled = fit_brick(brick, mem_budget_mb=1e-4, **kw)
-        assert isinstance(spilled.samples, np.memmap)
-        assert not isinstance(in_mem.samples, np.memmap)
-        assert np.array_equal(np.asarray(in_mem.samples),
-                              np.asarray(spilled.samples), equal_nan=True)
-        assert np.array_equal(in_mem.acceptance, spilled.acceptance,
-                              equal_nan=True)
-        assert np.isnan(np.asarray(spilled.samples)[0, 1]).all()
-        assert np.isnan(np.asarray(spilled.samples)[1, 2]).all()
-        # the spill file is unlinked: nothing is left to clean up, even if
-        # the process is killed while the result is alive
-        assert spilled.samples.filename is None
-        assert list(tmp_path.iterdir()) == []
+                  tuning=PHENO_TUNING, config=cfg, mask=mask, **EVERY_GRID)
+        kept = fit_brick(brick, keep_samples=True, **kw)
+        r = fit_brick(brick, **kw)
+        assert r.samples is None
+        assert list(r.grids) == [(fn, st) for fn in FUNCTIONALS
+                                 for st in STATISTICS]
+        assert_grids_equal(r.grids, kept.grids)
+        assert np.array_equal(r.acceptance, kept.acceptance, equal_nan=True)
+        assert (r.rows, r.cols, r.retained_count) == (2, 3, 150)
+        assert r.chain_at(0, 1) is None  # masked: no draws needed
+        with pytest.raises(ValueError, match="keep_samples=True"):
+            r.chain_at(0, 0)
+        with pytest.raises(ValueError, match="keep_samples=True"):
+            summarize_brick(r, "alpha4", "median")
 
-    def test_spill_writes_nan_only_into_cells_no_block_fills(
-            self, spec, fit_inputs, monkeypatch):
+    @pytest.mark.parametrize("request_, message", [
+        (dict(functionals=["alpha4", "verdancy"], statistics=["median"]),
+         "unknown functional 'verdancy'"),
+        (dict(functionals=["alpha4"], statistics=["median", "mode"]),
+         "unknown statistic 'mode'"),
+        (dict(functionals=["alpha4"], statistics=["median", "sd"],
+              config=ChainConfig(1200, sub_start=1200, seed=99)),
+         "statistic sd needs at least 2 retained draws"),
+    ], ids=["functional", "statistic", "sd-one-draw"])
+    def test_bad_request_raises_before_any_chain(self, spec, fit_inputs,
+                                                 monkeypatch, request_,
+                                                 message):
         brick, cfg = fit_inputs
-        mask = np.ones((2, 3), dtype=bool)
-        mask[0, 1] = False
-        spills, seen = [], []
-        memmap, fit_block = np.memmap, lspfit.brick._fit_block
 
-        def spill(*args, **kwargs):
-            spills.append(memmap(*args, **kwargs))
-            return spills[-1]
+        def unreachable(*args):
+            raise AssertionError("a chain ran")
+        monkeypatch.setattr(lspfit.brick, "run_lockstep", unreachable)
+        monkeypatch.setattr(lspfit.brick, "run_chain", unreachable)
+        kw = {"config": cfg, **request_}
+        with pytest.raises(ValueError) as err:
+            fit_brick(brick, BETA, spec, standard_starting(), PHENO_TUNING,
+                      **kw)
+        assert message in str(err.value)
 
-        def watched(task, ctx):
-            seen.append(np.array(spills[0]))  # the spill as the block starts
-            return fit_block(task, ctx)
-        monkeypatch.setattr(np, "memmap", spill)
-        monkeypatch.setattr(lspfit.brick, "_fit_block", watched)
-        fit_brick(brick, BETA, spec, standard_starting(), PHENO_TUNING, cfg,
-                  mask=mask, mem_budget_mb=1e-4)
-        # a new file reads as zeros: the fitted cells were never written
-        # before their block, the masked one was filled with NaN
-        assert len(seen) == 1
-        assert np.isnan(seen[0][0, 1]).all()
-        seen[0][0, 1] = 0.0
-        assert not seen[0].any()
+    def test_memory_scales_with_fitted_pixels(self, spec):
+        # a 4 x 4 mask of a 200 x 200 x 23 brick: a dense cube of its draws
+        # would take 200 * 200 * 20 draws * 64 bytes = 51 MB
+        rows = cols = 200
+        values = np.random.default_rng(3).uniform(
+            0.1, 0.9, (rows, cols, len(DOYS))).astype(np.float32)
+        brick = Brick(values, DOYS)
+        mask = np.zeros((rows, cols), dtype=bool)
+        mask[100:104, 50:54] = True
+        cfg = ChainConfig(60, sub_start=21, sub_thin=2, seed=4)
+        tracemalloc.start()
+        try:
+            r = fit_brick(brick, BETA, spec, standard_starting(), PHENO_TUNING,
+                          cfg, mask=mask, functionals=["alpha4", "auc"],
+                          statistics=["median", "sd"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.retained_count == 20 and r.fitted_mask().sum() == 16
+        assert np.isfinite(r.grids["auc", "sd"][mask]).all()
+        bound = 64 * 16 * 20 + 16 * values.size + 2**20
+        assert peak <= bound, f"peak {peak} bytes > {bound}"
 
     def test_per_pixel_error_logged_not_raised(self, spec, fit_inputs):
         # A value of exactly 1.0 is data the Beta likelihood cannot produce:
@@ -758,7 +780,8 @@ class TestFitBrick:
         # of the pixel-by-pixel refit
         brick, cfg = fit_inputs
         kw = dict(kind=BETA, spec=spec, starting=standard_starting(),
-                  tuning=PHENO_TUNING, config=cfg)
+                  tuning=PHENO_TUNING, config=cfg, keep_samples=True,
+                  **EVERY_GRID)
         normal = fit_brick(brick, **kw)
         bad_seed = pixel_seed(cfg.seed, 1, 2, brick.cols)
         chain = lspfit.brick.run_chain
@@ -777,11 +800,14 @@ class TestFitBrick:
         assert r.skipped == ((1, 2, "ZeroDivisionError: no draws"),)
         fitted = r.fitted_mask()
         assert set(zip(*np.nonzero(~fitted))) == {(1, 2)}
-        assert np.all(np.isnan(np.asarray(r.samples)[1, 2]))
+        assert np.all(np.isnan(r.samples[1, 2]))
         assert np.all(np.isnan(r.acceptance[1, 2]))
-        assert np.array_equal(np.asarray(r.samples)[fitted],
-                              np.asarray(normal.samples)[fitted])
+        assert np.array_equal(r.samples[fitted], normal.samples[fitted])
         assert np.array_equal(r.acceptance[fitted], normal.acceptance[fitted])
+        assert r.grids.keys() == normal.grids.keys()
+        for key, grid in r.grids.items():
+            assert np.isnan(grid[1, 2]), key
+            assert np.array_equal(grid[fitted], normal.grids[key][fitted]), key
 
 
 def lockstep_brick() -> Brick:
@@ -825,7 +851,8 @@ class TestLockstep:
         run_lockstep = lspfit.brick.run_lockstep
         monkeypatch.setattr(lspfit.brick, "run_lockstep", counted)
         results = [fit_brick(brick, kind, spec, standard_starting(),
-                             PHENO_TUNING, cfg, workers=w) for w in (1, 2)]
+                             PHENO_TUNING, cfg, workers=w, keep_samples=True)
+                   for w in (1, 2)]
         # the two groups at or above the crossover ran in lockstep, with no
         # fallback to run_chain
         assert sorted(lockstep_calls) == [LOCKSTEP_MIN + 1, LOCKSTEP_MIN + 2]
@@ -855,7 +882,8 @@ class TestLockstep:
                                                   monkeypatch, caplog):
         brick, cfg = fit_inputs
         kw = dict(kind=BETA, spec=spec, starting=standard_starting(),
-                  tuning=PHENO_TUNING, config=cfg, workers=1)
+                  tuning=PHENO_TUNING, config=cfg, workers=1,
+                  keep_samples=True, **EVERY_GRID)
         normal = fit_brick(brick, **kw)
 
         def failing(*args):
@@ -870,8 +898,8 @@ class TestLockstep:
         assert len(logged) == 1
         assert "FloatingPointError: overflow in exp" in logged[0]
         assert f"block of {brick.rows * brick.cols} pixels" in logged[0]
-        assert np.array_equal(np.asarray(r.samples),
-                              np.asarray(normal.samples), equal_nan=True)
+        assert np.array_equal(r.samples, normal.samples, equal_nan=True)
+        assert_grids_equal(r.grids, normal.grids)
         assert np.array_equal(r.acceptance, normal.acceptance, equal_nan=True)
         assert r.skipped == ()
 
@@ -885,7 +913,8 @@ class TestLockstep:
         vals[1, :, 0] = np.nan  # two count groups: two blocks
         brick = Brick(vals, DOYS)
         kw = dict(kind=BETA, spec=spec, starting=standard_starting(),
-                  tuning=PHENO_TUNING, config=cfg)
+                  tuning=PHENO_TUNING, config=cfg, keep_samples=True,
+                  **EVERY_GRID)
         serial = fit_brick(brick, **kw)
         fit_block = lspfit.brick._fit_block
 
@@ -901,32 +930,38 @@ class TestLockstep:
         assert all("BrokenProcessPool" in why for why in skipped.values())
         fitted = r.fitted_mask()
         assert set(zip(*np.nonzero(~fitted))) == set(skipped)
-        assert np.array_equal(np.asarray(r.samples)[fitted],
-                              np.asarray(serial.samples)[fitted])
+        assert np.array_equal(r.samples[fitted], serial.samples[fitted])
         assert np.array_equal(r.acceptance[fitted], serial.acceptance[fitted])
+        assert r.grids.keys() == serial.grids.keys()
+        for key, grid in r.grids.items():
+            assert np.isnan(grid[~fitted]).all(), key
+            assert np.array_equal(grid[fitted], serial.grids[key][fitted]), key
 
 
 @pytest.fixture(scope="module")
 def result(spec):
     brick = synthetic_brick(2, 2, DOYS, seed=5, georef=(500.0, 800.0, 10.0))
     cfg = ChainConfig(1500, sub_start=751, sub_thin=4, seed=5)
-    return fit_brick(brick, BETA, spec, standard_starting(), PHENO_TUNING, cfg)
+    return fit_brick(brick, BETA, spec, standard_starting(), PHENO_TUNING, cfg,
+                     keep_samples=True)
 
 
 @pytest.fixture(scope="module")
 def wide_result(spec):
-    """A memmap-backed fit of more than BLOCK_CAP pixels on short chains,
-    with pixel (0, 0) masked and pixel (0, 1) skipped for too few
-    observations."""
+    """A fit of more than BLOCK_CAP pixels on short chains, with pixel
+    (0, 0) masked, pixel (0, 1) skipped for too few observations, and pixel
+    (1, 1) with fewer observations than the rest, alone in its block; it
+    keeps its samples and has every grid."""
     side = 17
     vals = np.array(synthetic_brick(side, side, DOYS, seed=13).values)
     vals[0, 1, 5:] = np.nan
+    vals[1, 1, 0] = np.nan
     mask = np.ones((side, side), dtype=bool)
     mask[0, 0] = False
     cfg = ChainConfig(80, sub_start=41, sub_thin=2, seed=13)
     r = fit_brick(Brick(vals, DOYS), BETA, spec, standard_starting(),
-                  PHENO_TUNING, cfg, mask=mask, mem_budget_mb=0)
-    assert isinstance(r.samples, np.memmap)
+                  PHENO_TUNING, cfg, mask=mask, keep_samples=True,
+                  **EVERY_GRID)
     fitted = r.fitted_mask()
     assert not fitted[0, 0] and not fitted[0, 1]
     assert fitted.sum() > BLOCK_CAP
@@ -947,6 +982,11 @@ class TestSummarizeBrick:
                 assert grids["width95"][r, c] == s.q975 - s.q025, functional
                 for st in ("mean", "sd", "median", "q025", "q975"):
                     assert grids[st][r, c] == getattr(s, st), (functional, st)
+
+    def test_equals_the_grids_of_the_fit(self, wide_result):
+        for (functional, st), grid in wide_result.grids.items():
+            assert np.array_equal(summarize_brick(wide_result, functional, st),
+                                  grid, equal_nan=True), (functional, st)
 
     def test_sequence_of_statistics(self, wide_result, monkeypatch):
         calls = []
@@ -973,26 +1013,20 @@ class TestSummarizeBrick:
             summarize_brick(result, "alpha1", "mode")
 
     def test_constant_chains_give_zero_sd(self, result):
-        from lspfit.brick import BrickFitResult
-
-        samples = np.asarray(result.samples).copy()
+        samples = result.samples.copy()
         samples[:] = samples[:, :, :1, :]  # every retained draw identical
-        const = BrickFitResult(samples=samples, acceptance=result.acceptance,
-                               n_obs=result.n_obs, skipped=(), georef=None)
+        const = replace(result, samples=samples)
         sd = summarize_brick(const, "alpha1", "sd")
         assert np.all(sd == 0.0)
         auc_med = summarize_brick(const, "auc", "median")
         assert np.all(np.isfinite(auc_med))
 
     def test_constant_curve_auc_identity(self, result):
-        from lspfit.brick import BrickFitResult
-
-        samples = np.asarray(result.samples).copy()
+        samples = result.samples.copy()
         samples[..., 0] = 0.25
         samples[..., 1] = 0.0
         samples[..., 4] = 0.0
-        const = BrickFitResult(samples=samples, acceptance=result.acceptance,
-                               n_obs=result.n_obs, skipped=(), georef=None)
+        const = replace(result, samples=samples)
         auc = summarize_brick(const, "auc", "median")
         assert np.all(auc == 0.25 * 364.0)
 
@@ -1001,7 +1035,7 @@ class TestSummarizeBrick:
         mask = np.array([[True, False]])
         cfg = ChainConfig(800, sub_start=401, sub_thin=4, seed=6)
         r = fit_brick(brick, BETA, spec, standard_starting(), PHENO_TUNING,
-                      cfg, mask=mask)
+                      cfg, mask=mask, keep_samples=True)
         grid = summarize_brick(r, "alpha1", "median")
         assert np.isfinite(grid[0, 0])
         assert np.isnan(grid[0, 1])
@@ -1022,3 +1056,34 @@ class TestGridExport:
         assert b.values.shape == (2, 2, 1)
         assert np.isnan(b.values[0, 1, 0])
         assert b.georef == (100.0, 200.0, 10.0)
+
+    @pytest.mark.parametrize("georef", [None, (100.0, 200.0, 10.0),
+                                        (-78.5, 36.1, 0.0003)])
+    def test_matches_the_per_cell_writer(self, tmp_path, georef):
+        grid = np.array([
+            [1.5, np.nan, np.inf, -np.inf, -0.0],
+            [5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e-300, 0.1],
+            [1 / 3, -2.5, 1e16 + 2, 123456789.123456789, 0.0],
+        ])
+        with np.errstate(over="ignore"):
+            single = grid.astype(np.float32)  # 1e300 becomes inf
+        for values in (grid, grid.T, single, grid[:1]):
+            path = tmp_path / "grid.csv"
+            write_grid_csv(values, path, georef)
+            assert path.read_text() == per_cell_grid_csv(values, georef)
+
+
+def per_cell_grid_csv(grid, georef) -> str:
+    """The text write_grid_csv has always written, formatted cell by cell."""
+    out = ["row,col,x,y,value\n"]
+    for r in range(grid.shape[0]):
+        for c in range(grid.shape[1]):
+            if georef is not None:
+                x = georef[0] + c * georef[2]
+                y = georef[1] - r * georef[2]
+            else:
+                x, y = float(c), float(r)
+            v = grid[r, c]
+            sval = "NA" if not np.isfinite(v) else f"{v:.17g}"
+            out.append(f"{r},{c},{x:.17g},{y:.17g},{sval}\n")
+    return "".join(out)

@@ -249,9 +249,11 @@ MALFORMED_ROWS = [
     ("0,5,5,terra,twenty,60,0.4", ["--year", "2020"],
      "unparseable year field"),
     (f"0,5,5,terra,{2**63},60,0.4", [], "unparseable year field"),
+    ("0,five,5,terra,2020,60,0.4", [], "unparseable x/y field"),
+    ("0,5,inf,terra,2020,60,0.4", [], "coordinates must be finite"),
 ]
 MALFORMED_IDS = ["short-row", "bad-doy", "doy-out-of-range", "bad-year",
-                 "year-past-int64"]
+                 "year-past-int64", "bad-x", "infinite-y"]
 
 
 class TestFit:
@@ -299,6 +301,18 @@ class TestFit:
                       "--n-samples", "400", "--sub-start", "201"])
         assert rc == 0
         assert (tmp_path / "p3_chain.csv").exists()
+
+    def test_one_pixel_written_two_ways_is_one_series(self, tmp_path, capsys):
+        # x = 10 and x = 10.0 name one pixel, as in ingest_long_csv
+        (tmp_path / "obs.csv").write_text(
+            "pixel,x,y,sat,year,doy,evi\n0,10,5,terra,2020,100,0.3\n"
+            "0,10.0,5,terra,2020,200,0.6\n0,10,5,terra,2020,300,0.35\n")
+        rc = run_cli(["fit", "--input", tmp_path / "obs.csv",
+                      "--out", tmp_path / "f", "--ig", "2,0.001",
+                      "--n-samples", "50", "--sub-start", "1"])
+        assert rc == 0
+        assert "fitting 3 observations" in capsys.readouterr().err
+        assert (tmp_path / "f_chain.csv").exists()
 
     @pytest.mark.parametrize("row, selector, message", MALFORMED_ROWS,
                              ids=MALFORMED_IDS)

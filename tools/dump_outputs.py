@@ -17,7 +17,8 @@ files name the same ``out``, ``input`` and ``mask`` on both trees; an empty
 * ``brick/``: ``lspfit fit-brick --save-samples`` with every functional and
   statistic, for ``--workers`` 1 and 2, on a one-group brick of more than one
   lockstep block and on a multi-group brick with a mask, and the one-group
-  brick again with ``--mem-budget-mb 0``, so its samples spill to disk;
+  brick again without ``--save-samples``, whose grid CSVs are checked to
+  equal those of the run with it, byte for byte;
 * ``csv/``: a small long CSV with an ``NA``, a duplicate record, day 366 and
   two years; its ``ingest_long_csv`` bricks (pooled, pooled with
   ``clamp_eps``, annual) written as LSPB; and ``lspfit fit-brick`` on it,
@@ -32,6 +33,7 @@ It takes under a minute on a 2-core host.
 from __future__ import annotations
 
 import contextlib
+import filecmp
 import io
 import os
 import sys
@@ -126,8 +128,9 @@ def dump_bricks() -> None:
     mask[0, 4:, 0] = 0.0
     write_brick(Brick(mask, np.array([1.0])), "brick/mask.lspb")
 
-    everything = ["--functionals", ",".join(FUNCTIONALS),
-                  "--statistics", ",".join(STATISTICS), "--save-samples"]
+    request = ["--functionals", ",".join(FUNCTIONALS),
+               "--statistics", ",".join(STATISTICS)]
+    everything = [*request, "--save-samples"]
     for workers in (1, 2):
         run(["fit-brick", "--input", "brick/one.lspb",
              "--out", f"brick/one_w{workers}", "--seed", "17", "--ig", IG,
@@ -137,9 +140,20 @@ def dump_bricks() -> None:
              "--ig", IG, "--workers", str(workers),
              "--mask", "brick/mask.lspb", "--min-obs", "12", "--lspb-grids",
              *SHORT_CHAIN, *everything])
-    run(["fit-brick", "--input", "brick/one.lspb", "--out", "brick/one_spill",
-         "--seed", "17", "--ig", IG, "--mem-budget-mb", "0", *SHORT_CHAIN,
-         *everything])
+    run(["fit-brick", "--input", "brick/one.lspb", "--out",
+         "brick/one_nosamples", "--seed", "17", "--ig", IG, "--workers", "1",
+         *SHORT_CHAIN, *request])
+    # the grid CSVs of every functional and statistic, the two acceptance
+    # grids and the skipped log
+    grids = [name.removeprefix("one_w1") for name in os.listdir("brick")
+             if name.startswith("one_w1_") and name.endswith(".csv")]
+    assert len(grids) == len(FUNCTIONALS) * len(STATISTICS) + 3, grids
+    differ = [g for g in sorted(grids)
+              if not filecmp.cmp(f"brick/one_w1{g}",
+                                 f"brick/one_nosamples{g}", shallow=False)]
+    if differ:
+        raise SystemExit("fit-brick without --save-samples wrote other "
+                         f"bytes: {', '.join(differ)}")
 
 
 def dump_csv() -> None:
