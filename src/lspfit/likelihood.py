@@ -24,8 +24,9 @@ per row (the rows of a block may have different days). The closure then
 takes seven floats and a float ``s2``, or seven ``(B, 1)`` columns and a
 ``(B,)`` ``s2``, and returns a float or a ``(B,)`` array. Reductions run
 along the last axis (``.sum(-1)``, ``np.vecdot``), which gives every row
-exactly the value of the one-series call; ``math.log`` of ``s2`` is taken
-row by row for the same reason (``np.log`` can differ in the last bit).
+exactly the value of the one-series call; the log of a ``(B,)`` ``s2`` is
+libm's, the function ``math.log`` calls, for the same reason (``np.log`` can
+differ in the last bit).
 Data a model cannot produce and means outside the admissible set give
 ``-inf`` on their own rows only.
 
@@ -41,7 +42,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, log_ndtr, ndtr, ndtri
+from scipy.special import gammaln, log_ndtr, ndtr, ndtri, xlogy
 
 from .curve import CurveParams, IndexBounds, _check_doys, _check_rates, _curve_raw
 
@@ -176,10 +177,11 @@ def _tn_log_mass(mu, sd, a, b):
 
 
 def _math_log(x):
-    """``math.log`` of a float, or of each value of an array (``np.log`` can
-    differ from ``math.log`` in the last bit)."""
+    """``math.log`` of a float, or libm's ``log`` of each value of an array,
+    which is what ``math.log`` calls (``np.log`` can differ in the last
+    bit)."""
     if isinstance(x, np.ndarray):
-        return np.array(list(map(math.log, x.tolist())))
+        return xlogy(1.0, x)
     return math.log(x)
 
 

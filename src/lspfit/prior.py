@@ -234,7 +234,8 @@ class _FlatPrior:
 
     def _log_terms(self, a1, a7, s2, log):
         """The log-prior inside the support, with its state-dependent terms;
-        ``log`` is ``math.log``, or ``_math_log`` for a block of states."""
+        ``log`` is ``math.log``, or ``_math_log``, its vectorised libm twin,
+        for a block of states."""
         return (
             self.const
             - log(self.g2 - a1)

@@ -8,6 +8,7 @@ standard deviation, and the variance moves on the log scale,
 ``(z' - z)`` term is the change-of-variable (Jacobian) correction for
 proposing on the log scale. Out-of-support proposals get log-prior -inf and
 are rejected through the same comparison, which preserves the exact target.
+So does a ``z'`` whose ``exp`` overflows: its ``sigma2`` is inf.
 
 Determinism contract: the generator is ``numpy.random.Generator`` backed by
 ``numpy.random.Philox`` keyed *directly* with the 64-bit ``config.seed`` (no
@@ -18,9 +19,11 @@ therefore produce bit-identical chains on any platform with IEEE-754 doubles.
 
 Both loops below take these draws in chunks of ``PREDRAW_CHUNK`` iterations
 (:func:`_predraw_chunks`): chunked ``standard_normal`` calls reproduce the
-single ``(n_samples, 8)`` call, and the uniforms come from a second
-generator with the same key, moved past the normals by one discarded pass
-over them. So a chain's memory does not grow with ``n_samples``.
+single ``(n_samples, 8)`` call. One generator draws the first chunk of
+normals, skips the rest of them and then draws the uniforms; a copy of its
+state after the first chunk draws the later chunks of normals. So a chain's
+memory does not grow with ``n_samples``, and a chain of one chunk draws each
+normal once.
 :func:`run_chain` runs one chain. :func:`run_lockstep` runs one chain per row
 of a block of equally long series: all chains advance one iteration
 together, through one batched log-target call over the ``(B, 8)`` block of
@@ -35,6 +38,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import inv_boxcox
 
 from .likelihood import LikelihoodKind, ObservationSeries, loglik_fn
 from .prior import PARAM_NAMES, ParamVector, PriorSpec, _FlatPrior
@@ -281,7 +285,10 @@ def run_chain(kind: LikelihoodKind, series: ObservationSeries, spec: PriorSpec,
                                 log_u[:, 0].tolist()):
             prop = theta + step
             zp = z + dz
-            s2p = math.exp(zp)
+            try:
+                s2p = math.exp(zp)
+            except OverflowError:  # as in run_lockstep: the prior rejects it
+                s2p = math.inf
             prop[7] = s2p
             p = prop.tolist()
             lpp = flat.log_prior(*p)
@@ -305,20 +312,30 @@ def run_chain(kind: LikelihoodKind, series: ObservationSeries, spec: PriorSpec,
 def _predraw_chunks(seeds, tuning: TuningSpec, n: int):
     """Yield ``(steps, log_u)`` chunks, ``(c, B, 8)`` and ``(c, B)``, of the
     contract's pre-draws for each seed, ``PREDRAW_CHUNK`` iterations at a
-    time: the scaled proposal steps and the logs of the uniforms."""
+    time: the scaled proposal steps and the logs of the uniforms.
+
+    Each seed's generator draws the first chunk of normals, skips the rest
+    and draws the uniforms; only a chain of more than one chunk builds a
+    second generator, from the first one's state after its first chunk, to
+    draw the rest of the normals."""
     sizes = [min(PREDRAW_CHUNK, n - i) for i in range(0, n, PREDRAW_CHUNK)]
-    normals = [philox_generator(s) for s in seeds]
-    uniforms = [philox_generator(s) for s in seeds]
-    for g in uniforms:  # the uniforms follow all the normals in the stream
-        for c in sizes:
-            g.standard_normal((c, 8))
     scale = tuning.to_array()
-    for c in sizes:
+    gens = [philox_generator(s) for s in seeds]
+    first = [g.standard_normal((sizes[0], 8)) for g in gens]
+    later = []
+    if len(sizes) > 1:  # the uniforms follow all the normals in the stream
+        for g in gens:
+            later.append(philox_generator(0))
+            later[-1].bit_generator.state = g.bit_generator.state
+            for c in sizes[1:]:
+                g.standard_normal((c, 8))
+    for k, c in enumerate(sizes):
         steps = np.empty((c, len(seeds), 8))
         log_u = np.empty((c, len(seeds)))
-        for b, (gn, gu) in enumerate(zip(normals, uniforms)):
-            steps[:, b] = gn.standard_normal((c, 8))
-            log_u[:, b] = np.log(gu.random(c))
+        for b, g in enumerate(gens):
+            steps[:, b] = later[b].standard_normal((c, 8)) if k else first[b]
+            log_u[:, b] = np.log(g.random(c))
+        first.clear()  # hold one chunk at a time
         steps *= scale
         yield steps, log_u
 
@@ -375,9 +392,9 @@ def run_lockstep(kind: LikelihoodKind, t: np.ndarray, y: np.ndarray,
             for step, lu in zip(steps, log_u):
                 prop = theta + step
                 zp = z + step[:, 7]
-                # math.exp per row, as in run_chain (np.exp can differ in
-                # the last bit)
-                prop[:, 7] = list(map(math.exp, zp.tolist()))
+                # libm's exp, as math.exp in run_chain (np.exp can differ in
+                # the last bit); inf where it overflows
+                prop[:, 7] = inv_boxcox(zp, 0.0)
                 lpp = flat.log_prior(*prop.T)
                 # where the prior is -inf, run_chain skips the likelihood:
                 # evaluate the current state there instead, which is always

@@ -47,6 +47,8 @@ from lspfit.posterior import FUNCTIONALS
 from lspfit.sampler import PREDRAW_CHUNK, run_lockstep
 
 BETA = LikelihoodKind.beta()
+KINDS = [LikelihoodKind.normal(), LikelihoodKind.truncated_normal(0.0, 1.0),
+         BETA]
 
 # Frozen outputs of the documented 64-bit mixing function.
 PIXEL_SEED_FROZEN = [
@@ -831,52 +833,63 @@ def lockstep_brick() -> Brick:
     return Brick(vals, DOYS)
 
 
+def assert_every_pixel_equals_run_chain(spec, kind, n, monkeypatch):
+    """Fit ``lockstep_brick`` with ``n``-iteration chains on 1 and 2
+    workers, and check that its two large groups ran in lockstep and that
+    every pixel equals its own ``run_chain``."""
+    brick = lockstep_brick()
+    cfg = ChainConfig(n, sub_start=n // 2, sub_thin=3, seed=17, batch_len=50)
+    lockstep_calls = []
+
+    def counted(*args):  # counts lockstep calls that return
+        out = run_lockstep(*args)
+        lockstep_calls.append(len(args[-1]))
+        return out
+    run_lockstep = lspfit.brick.run_lockstep
+    monkeypatch.setattr(lspfit.brick, "run_lockstep", counted)
+    results = [fit_brick(brick, kind, spec, standard_starting(),
+                         PHENO_TUNING, cfg, workers=w, keep_samples=True)
+               for w in (1, 2)]
+    # the two groups at or above the crossover ran in lockstep, with no
+    # fallback to run_chain
+    assert sorted(lockstep_calls) == [LOCKSTEP_MIN + 1, LOCKSTEP_MIN + 2]
+
+    for row in range(brick.rows):
+        for col in range(brick.cols):
+            keep = np.isfinite(brick.values[row, col])
+            series = ObservationSeries(
+                brick.doys[keep],
+                brick.values[row, col, keep].astype(np.float64))
+            direct = run_chain(kind, series, spec, standard_starting(),
+                               PHENO_TUNING,
+                               replace(cfg, seed=pixel_seed(
+                                   cfg.seed, row, col, brick.cols)))
+            for r in results:
+                assert np.array_equal(r.samples[row, col], direct.samples)
+                assert r.acceptance[row, col, 0] == direct.acc_overall
+                assert r.acceptance[row, col, 1] == direct.acc_last_batch
+    for r in results:
+        assert r.skipped == ()
+    if kind.kind != "normal":  # the data the model cannot produce
+        assert results[0].acceptance[0, 2, 0] == 0.0
+    if kind is BETA:
+        assert results[0].acceptance[0, 1, 0] == 0.0
+
+
 class TestLockstep:
     # rows whose log-target is -inf before and after a step reject quietly
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("kind", [
-        LikelihoodKind.normal(), LikelihoodKind.truncated_normal(0.0, 1.0),
-        BETA], ids=lambda k: k.kind)
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.kind)
     def test_every_pixel_equals_run_chain(self, spec, kind, monkeypatch):
-        brick = lockstep_brick()
-        n = PREDRAW_CHUNK + 37  # crosses a pre-draw chunk boundary
-        cfg = ChainConfig(n, sub_start=n // 2, sub_thin=3, seed=17,
-                          batch_len=50)
-        lockstep_calls = []
+        # crosses a pre-draw chunk boundary
+        assert_every_pixel_equals_run_chain(spec, kind, PREDRAW_CHUNK + 37,
+                                            monkeypatch)
 
-        def counted(*args):  # counts lockstep calls that return
-            out = run_lockstep(*args)
-            lockstep_calls.append(len(args[-1]))
-            return out
-        run_lockstep = lspfit.brick.run_lockstep
-        monkeypatch.setattr(lspfit.brick, "run_lockstep", counted)
-        results = [fit_brick(brick, kind, spec, standard_starting(),
-                             PHENO_TUNING, cfg, workers=w, keep_samples=True)
-                   for w in (1, 2)]
-        # the two groups at or above the crossover ran in lockstep, with no
-        # fallback to run_chain
-        assert sorted(lockstep_calls) == [LOCKSTEP_MIN + 1, LOCKSTEP_MIN + 2]
-
-        for row in range(brick.rows):
-            for col in range(brick.cols):
-                keep = np.isfinite(brick.values[row, col])
-                series = ObservationSeries(
-                    brick.doys[keep],
-                    brick.values[row, col, keep].astype(np.float64))
-                direct = run_chain(kind, series, spec, standard_starting(),
-                                   PHENO_TUNING,
-                                   replace(cfg, seed=pixel_seed(
-                                       cfg.seed, row, col, brick.cols)))
-                for r in results:
-                    assert np.array_equal(r.samples[row, col], direct.samples)
-                    assert r.acceptance[row, col, 0] == direct.acc_overall
-                    assert r.acceptance[row, col, 1] == direct.acc_last_batch
-        for r in results:
-            assert r.skipped == ()
-        if kind.kind != "normal":  # the data the model cannot produce
-            assert results[0].acceptance[0, 2, 0] == 0.0
-        if kind is BETA:
-            assert results[0].acceptance[0, 1, 0] == 0.0
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.kind)
+    def test_one_chunk_pixels_equal_run_chain(self, spec, kind, monkeypatch):
+        # one pre-draw chunk: each chain's one generator draws every value
+        assert_every_pixel_equals_run_chain(spec, kind, 100, monkeypatch)
 
     def test_lockstep_failure_is_logged_and_refit(self, spec, fit_inputs,
                                                   monkeypatch, caplog):

@@ -1,9 +1,11 @@
 """Tests for the random-walk Metropolis sampler module."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import inv_boxcox
 
 from helpers import (
     PHENO_TUNING,
@@ -30,9 +32,14 @@ from lspfit import (
     subsample_indices,
     write_chain_csv,
 )
+import lspfit.sampler
+from lspfit.likelihood import _math_log
+from lspfit.sampler import (PREDRAW_CHUNK, _predraw_chunks, philox_generator,
+                            run_lockstep)
 
 NORMAL = LikelihoodKind.normal()
 BETA = LikelihoodKind.beta()
+KINDS = [NORMAL, LikelihoodKind.truncated_normal(0.0, 1.0), BETA]
 
 # 0.999 quantile of the chi-square distribution with 7 degrees of freedom.
 CHI2_999_DF7 = 24.322
@@ -155,17 +162,19 @@ class TestRunChain:
                       ChainConfig(2000, sub_start=1001, seed=34))
         assert not np.array_equal(a.samples, c.samples)
 
-    @pytest.mark.parametrize("kind", [
-        NORMAL, LikelihoodKind.truncated_normal(0.0, 1.0), BETA],
-        ids=lambda k: k.kind)
-    def test_matches_contract_reference_loop(self, beta_series, spec, kind):
+    @pytest.mark.parametrize("n", [1, 100, PREDRAW_CHUNK, PREDRAW_CHUNK + 37,
+                                   2 * PREDRAW_CHUNK + 1])
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.kind)
+    def test_matches_contract_reference_loop(self, beta_series, spec, kind,
+                                             n):
         # The determinism contract drawn as two whole blocks, one iteration
         # at a time through the public log_posterior; run_chain takes the
-        # same stream in chunks, so the length crosses a chunk boundary.
-        from lspfit.sampler import PREDRAW_CHUNK
-        n, seed = PREDRAW_CHUNK + 37, 2**63 + 5
-        cfg = ChainConfig(n, sub_start=n // 2, sub_thin=3, seed=seed,
-                          batch_len=50)
+        # same stream in chunks, so the lengths take part of one chunk, fill
+        # it, and cross one and two chunk boundaries.
+        seed = 2**63 + 5
+        batch = min(50, n)
+        cfg = ChainConfig(n, sub_start=max(1, n // 2), sub_thin=3, seed=seed,
+                          batch_len=batch)
         rng = np.random.Generator(np.random.Philox(key=seed))
         steps = rng.standard_normal((n, 8)) * PHENO_TUNING.to_array()
         log_u = np.log(rng.random(n))
@@ -188,7 +197,52 @@ class TestRunChain:
         assert np.array_equal(ch.samples,
                               np.array(kept)[subsample_indices(cfg) - 1])
         assert ch.acc_overall == sum(accepted) / n
-        assert ch.acc_last_batch == sum(accepted[-50:]) / 50
+        assert ch.acc_last_batch == sum(accepted[-batch:]) / batch
+
+    @pytest.mark.parametrize("n, built", [
+        (1, 3), (PREDRAW_CHUNK, 3), (PREDRAW_CHUNK + 1, 6)])
+    def test_one_generator_per_chain_of_one_chunk(self, monkeypatch, n,
+                                                  built):
+        seeds = []
+
+        def counted(seed):
+            seeds.append(seed)
+            return philox_generator(seed)
+        monkeypatch.setattr(lspfit.sampler, "philox_generator", counted)
+        chunks = list(_predraw_chunks([4, 5, 6], PHENO_TUNING, n))
+        assert len(seeds) == built
+        assert sum(len(log_u) for _, log_u in chunks) == n
+
+    # a sigma2 near 0 or near 1e300 also overflows inside the block prior
+    # and likelihood, with a warning; the step is rejected all the same
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.kind)
+    def test_overflowing_step_is_rejected_in_both_loops(self, spec, kind):
+        # Log-scale sigma2 steps of sd 500 take z' past ~709.78, where exp
+        # overflows, and below ~-745, where it underflows to 0. Both loops
+        # reject such a step and run on, with equal chains.
+        n, seeds = 300, [3, 2**64 - 1, 12345]
+        tuning = replace(PHENO_TUNING, sigma2=500.0)
+        doys = np.arange(8.0, 361.0, 16.0)
+        rows = [make_series(kind, SIM_CURVE, 0.003, doys, s) for s in seeds]
+        start = standard_starting()
+        cfg = ChainConfig(n, sub_start=1, seed=0, batch_len=50)
+        samples, acc, acc_batch = run_lockstep(
+            kind, np.array([r.doys for r in rows]),
+            np.array([r.values for r in rows]), spec, start, tuning, cfg,
+            seeds)
+        for b, (series, seed) in enumerate(zip(rows, seeds)):
+            ch = run_chain(kind, series, spec, start, tuning,
+                           replace(cfg, seed=seed))
+            assert np.array_equal(samples[b], ch.samples)
+            assert acc[b] == ch.acc_overall
+            assert acc_batch[b] == ch.acc_last_batch
+            # the proposals z' = z + dz of the chain's own draws
+            z = np.log(np.append(start.noise.sigma2, ch.samples[:-1, 7]))
+            dz = philox_generator(seed).standard_normal((n, 8))[:, 7] * 500.0
+            assert (z + dz > 710.0).any() and (z + dz < -746.0).any()
+            s2 = ch.samples[:, 7]
+            assert np.all((s2 > 0) & np.isfinite(s2))
 
     def test_support_closure(self, beta_series, spec):
         cfg = ChainConfig(3000, sub_start=1, seed=2)
@@ -297,6 +351,42 @@ class TestRunChain:
         wrong = n_kept * bin_probs(with_normalizer=False)
         chi2_wrong = float(np.sum((counts - wrong) ** 2 / wrong))
         assert chi2_wrong > CHI2_999_DF7
+
+
+class TestLibmTwins:
+    """The block paths take libm's log and exp through scipy, where
+    run_chain takes them through math; a platform where the two differ in
+    any bit must fail here rather than let brick pixels drift from
+    run_chain."""
+
+    def test_block_log_is_math_log(self):
+        rng = np.random.default_rng(0)
+        tiny = np.finfo(np.float64).tiny  # the smallest normal double
+        x = np.concatenate([
+            10.0 ** rng.uniform(-12.0, 1.0, 400_000),  # sigma2
+            1.0 - rng.random(300_000),  # gamma2 - alpha1 in (0, 1]
+            364.0 * (1.0 - rng.random(300_000)),  # alpha7 - alpha4_lo
+            [5e-324, 1e-310, np.nextafter(tiny, 0.0), tiny,
+             np.nextafter(tiny, 1.0), 1.0, np.finfo(np.float64).max],
+        ])
+        want = np.array(list(map(math.log, x.tolist())))
+        assert np.array_equal(_math_log(x).view(np.int64), want.view(np.int64))
+
+    def test_block_exp_is_math_exp(self):
+        rng = np.random.default_rng(1)
+        z = np.concatenate([
+            rng.uniform(-30.0, 5.0, 1_000_000),
+            np.linspace(-746.0, -744.0, 2001),  # down through subnormals to 0
+            np.linspace(709.0, 709.782712893384, 2001),  # up to DBL_MAX
+        ])
+        want = np.array(list(map(math.exp, z.tolist())))
+        assert np.array_equal(inv_boxcox(z, 0.0).view(np.int64),
+                              want.view(np.int64))
+
+    def test_block_exp_overflows_to_inf(self):
+        with pytest.raises(OverflowError):
+            math.exp(709.79)
+        assert np.all(inv_boxcox(np.array([709.79, 1e5]), 0.0) == math.inf)
 
 
 class TestChainCsv:

@@ -12,13 +12,16 @@ files name the same ``out``, ``input`` and ``mask`` on both trees; an empty
 
 * ``chains/``: ``run_chain`` draws and acceptance for the three likelihoods
   on seeds 0, 11, 12345 and 2**63 + 5, and ``series_log_likelihood`` and
-  ``log_posterior`` at every tenth draw, as hex floats;
+  ``log_posterior`` at every tenth draw, as hex floats; and every draw of a
+  100-iteration chain per likelihood, which fits in one pre-draw chunk;
 * ``simulate/``: ``lspfit simulate --grid 3,3``;
 * ``brick/``: ``lspfit fit-brick --save-samples`` with every functional and
   statistic, for ``--workers`` 1 and 2, on a one-group brick of more than one
   lockstep block and on a multi-group brick with a mask, and the one-group
   brick again without ``--save-samples``, whose grid CSVs are checked to
-  equal those of the run with it, byte for byte;
+  equal those of the run with it, byte for byte; and the one-group brick
+  with ``--save-samples``, ``--n-samples 100`` and ``--sub-start 1`` (one
+  pre-draw chunk, every draw kept);
 * ``csv/``: a small long CSV with an ``NA``, a duplicate record, day 366 and
   two years; its ``ingest_long_csv`` bricks (pooled, pooled with
   ``clamp_eps``, annual) written as LSPB; and ``lspfit fit-brick`` on it,
@@ -98,6 +101,11 @@ def dump_chains() -> None:
                     v.curve, v.noise) for v in draws))
                 fh.write(hexes(log_posterior(kind, series, spec, v)
                                for v in draws))
+        chain = run_chain(kind, series, spec, START, TUNING,
+                          ChainConfig(n_samples=100, seed=SEEDS[-1]))
+        np.save(f"chains/{name}_short_samples.npy", chain.samples)
+        with open(f"chains/{name}_short.txt", "w", encoding="utf-8") as fh:
+            fh.write(hexes([chain.acc_overall, chain.acc_last_batch]))
 
 
 def dump_simulate() -> None:
@@ -143,6 +151,9 @@ def dump_bricks() -> None:
     run(["fit-brick", "--input", "brick/one.lspb", "--out",
          "brick/one_nosamples", "--seed", "17", "--ig", IG, "--workers", "1",
          *SHORT_CHAIN, *request])
+    run(["fit-brick", "--input", "brick/one.lspb", "--out", "brick/one_short",
+         "--seed", "17", "--ig", IG, "--workers", "1", "--n-samples", "100",
+         "--sub-start", "1", "--save-samples"])
     # the grid CSVs of every functional and statistic, the two acceptance
     # grids and the skipped log
     grids = [name.removeprefix("one_w1") for name in os.listdir("brick")
